@@ -1,15 +1,23 @@
 """Command-line interface: one subcommand family per module.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure or I/O
-failure, 64 usage error. Machine formats (csv, json) print every numeric
-at 12 significant digits; identical invocations produce byte-identical
-output.
+failure, 64 usage error (a non-finite number in a float flag is one).
+
+Each handler builds a record (dict) or a list of records and hands it to
+``_emit``, the one renderer. json prints every float at full ``repr``
+precision and a complex number as ``{"re": ..., "im": ...}``. csv prints
+floats at 12 significant digits, one column per key, and splits a complex
+value under key ``k`` into ``re_k`` and ``im_k``. table prints a record as
+``key = value`` lines and a list as csv, except where a command has its own
+table layout (regulator, zeta, the qcd scalars, effpot table, lamb,
+fixtures). Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import fixtures as fixtures_mod
@@ -32,32 +40,66 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            _fmt(v) if isinstance(v, float) else str(v) for v in row
-        ))
-    return "\n".join(lines) + "\n"
-
-
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _kv(pairs) -> str:
-    return "".join(
-        f"{k} = {_fmt(v) if isinstance(v, float) else v}\n" for k, v in pairs
-    )
-
-
-def _complex_dict(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
 def _complex_str(z: complex) -> str:
     sign = "+" if z.imag >= 0 else "-"
     return f"{_fmt(z.real)} {sign} {_fmt(abs(z.imag))}i"
+
+
+def _complex_json(obj):
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _csv(records) -> str:
+    if isinstance(records, dict):
+        records = [records]
+    header = []
+    for k, v in records[0].items():
+        header += (f"re_{k}", f"im_{k}") if isinstance(v, complex) else (k,)
+    lines = [",".join(header)]
+    for record in records:
+        cells = []
+        for v in record.values():
+            if isinstance(v, float):
+                cells.append(_fmt(v))
+            elif isinstance(v, complex):
+                cells += (_fmt(v.real), _fmt(v.imag))
+            else:
+                cells.append(str(v))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _emit(fmt: str, data, table=None, rows=None) -> str:
+    """Render a record or a list of records in one output format.
+
+    ``table`` is the command's own table layout, called with ``data``;
+    ``rows`` replaces ``data`` in csv and the default table where the json
+    document is not the list of records those print.
+    """
+    if fmt == "json":
+        return json.dumps(data, indent=2, default=_complex_json) + "\n"
+    if fmt == "table" and table is not None:
+        return table(data)
+    if rows is not None:
+        data = rows
+    if fmt == "table" and isinstance(data, dict):
+        return "".join(f"{k} = {_fmt(v) if isinstance(v, float) else v}\n"
+                       for k, v in data.items())
+    return _csv(data)
+
+
+def _finite(text: str) -> float:
+    """argparse type for a float flag: nan and inf pass every `x <= 0`
+    guard, so they are usage errors here."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite number: {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,18 +109,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="key=value constants override file")
-    p.add_argument("--format", choices=("table", "csv", "json"),
-                   default="table")
-    p.add_argument("--out", help="write output to this path")
-    p.add_argument("--quiet", action="store_true")
-
-
 # ---------------------------------------------------------------- regulator
 
 def _cmd_regulator_value(args, constants):
-    rows = []
+    records = []
     for m_sq in args.msq:
         if args.family == "log":
             value = reg_mod.log_integral_value(
@@ -90,22 +124,16 @@ def _cmd_regulator_value(args, constants):
                     m_sq=m_sq, c1=args.c1, c2=args.c2, c3=args.c3
                 )
             )
-        rows.append((m_sq, value))
-    if args.format == "json":
-        return _json([
-            {"m_sq": m, "value": _complex_dict(v)} for m, v in rows
-        ])
-    if args.format == "csv":
-        return _csv(("m_sq", "re_value", "im_value"),
-                    [(m, v.real, v.imag) for m, v in rows])
-    return "".join(
-        f"M^2 = {_fmt(m)}: {_complex_str(v)}\n" for m, v in rows
-    )
+        records.append({"m_sq": m_sq, "value": value})
+    return _emit(args.format, records, table=lambda data: "".join(
+        f"M^2 = {_fmt(r['m_sq'])}: {_complex_str(r['value'])}\n"
+        for r in data
+    ))
 
 
 def _cmd_regulator_oracle(args, constants):
     spec = reg_mod.QuadratureSpec(rel_tol=args.rtol, abs_tol=args.atol)
-    rows = []
+    records = []
     for m_sq in args.msq:
         if args.family == "log":
             oracle = reg_mod.log_derivative_oracle(m_sq, spec)
@@ -113,17 +141,13 @@ def _cmd_regulator_oracle(args, constants):
         else:
             oracle = reg_mod.quartic_third_derivative_oracle(m_sq, spec)
             closed = reg_mod.quartic_third_derivative_closed_form(m_sq)
-        rows.append((m_sq, oracle, closed))
-    if args.format == "json":
-        return _json([
-            {"m_sq": m, "oracle": o, "closed_form": c} for m, o, c in rows
-        ])
-    if args.format == "csv":
-        return _csv(("m_sq", "oracle", "closed_form"), rows)
-    return "".join(
-        f"M^2 = {_fmt(m)}: oracle {_fmt(o)}, closed form {_fmt(c)}\n"
-        for m, o, c in rows
-    )
+        records.append({"m_sq": m_sq, "oracle": oracle,
+                        "closed_form": closed})
+    return _emit(args.format, records, table=lambda data: "".join(
+        f"M^2 = {_fmt(r['m_sq'])}: oracle {_fmt(r['oracle'])}, "
+        f"closed form {_fmt(r['closed_form'])}\n"
+        for r in data
+    ))
 
 
 # --------------------------------------------------------------- selfenergy
@@ -137,48 +161,29 @@ _SCHEME_FIELDS = {
 
 
 def _cmd_selfenergy_zeta(args, constants):
-    if args.scheme == "all":
-        schemes = ("S", "V", "S+V", "SV")
-    else:
-        schemes = (args.scheme,)
-    rows = []
+    schemes = tuple(_SCHEME_FIELDS) if args.scheme == "all" else (args.scheme,)
+    records = []
     for n in args.n:
         if args.z < 1 or n < 1:
             raise ValidationError("Z and n must be positive integers")
-        ratio = (args.z * args.z) / (n * n)
-        rows.append((n, se_mod.zeta_row(ratio, constants)))
-    if args.format == "json":
-        out = []
-        for n, row in rows:
-            entry = {"z": args.z, "n": n,
-                     "z_sq_over_n_sq": row.z_sq_over_n_sq}
+        row = se_mod.zeta_row((args.z * args.z) / (n * n), constants)
+        record = {"z": args.z, "n": n, "z_sq_over_n_sq": row.z_sq_over_n_sq}
+        for s in schemes:
+            for field in _SCHEME_FIELDS[s]:
+                record[field] = getattr(row, field)
+        records.append(record)
+
+    def table(data):
+        lines = []
+        for r in data:
+            lines.append(f"Z = {r['z']}, n = {r['n']}  "
+                         f"(Z^2/n^2 = {_fmt(r['z_sq_over_n_sq'])})")
             for s in schemes:
                 zf, lf = _SCHEME_FIELDS[s]
-                entry[zf] = getattr(row, zf)
-                entry[lf] = getattr(row, lf)
-            out.append(entry)
-        return _json(out)
-    if args.format == "csv":
-        header = ["z", "n", "z_sq_over_n_sq"]
-        for s in schemes:
-            header.extend(_SCHEME_FIELDS[s])
-        body = []
-        for n, row in rows:
-            line = [args.z, n, row.z_sq_over_n_sq]
-            for s in schemes:
-                zf, lf = _SCHEME_FIELDS[s]
-                line.extend((getattr(row, zf), getattr(row, lf)))
-            body.append(line)
-        return _csv(header, body)
-    lines = []
-    for n, row in rows:
-        lines.append(f"Z = {args.z}, n = {n}  "
-                     f"(Z^2/n^2 = {_fmt(row.z_sq_over_n_sq)})")
-        for s in schemes:
-            zf, lf = _SCHEME_FIELDS[s]
-            lines.append(f"  zeta<{s}> = {getattr(row, zf):.10g}"
-                         f"   -ln zeta = {getattr(row, lf):.10g}")
-    return "\n".join(lines) + "\n"
+                lines.append(f"  zeta<{s}> = {r[zf]:.10g}"
+                             f"   -ln zeta = {r[lf]:.10g}")
+        return "\n".join(lines) + "\n"
+    return _emit(args.format, records, table=table)
 
 
 def _cmd_selfenergy_onshell(args, constants):
@@ -187,19 +192,15 @@ def _cmd_selfenergy_onshell(args, constants):
     # reevaluate the increment instead of echoing the constructed zero
     delta_m = se_mod.mass_increment(m * m, m, fix.mu2, constants)
     coeff = se_mod.sigma_coefficients(m * m, m, fix.mu2, constants)
-    pairs = [("m", m), ("mu2", fix.mu2), ("z2", fix.z2),
-             ("delta_m", delta_m), ("a", coeff.a), ("b", coeff.b)]
-    if args.format == "json":
-        return _json(dict(pairs))
-    if args.format == "csv":
-        return _csv([k for k, _ in pairs], [[v for _, v in pairs]])
-    return _kv(pairs)
+    return _emit(args.format, {"m": m, "mu2": fix.mu2, "z2": fix.z2,
+                               "delta_m": delta_m, "a": coeff.a,
+                               "b": coeff.b})
 
 
 # ---------------------------------------------------------------------- qed
 
 def _load_table(args):
-    if getattr(args, "table", None):
+    if args.table:
         return load_particle_table_file(args.table)
     return default_particle_table()
 
@@ -208,56 +209,37 @@ def _cmd_qed_run(args, constants):
     model = qed_mod.BetaModel(_load_table(args))
     curve = qed_mod.evolve_alpha(args.qmax, model, steps=args.steps,
                                  constants=constants, rtol=args.rtol)
-    rows = [(q, a, 1.0 / a) for q, a in curve.samples]
-    if args.format == "json":
-        return _json([
-            {"q_gev": q, "alpha": a, "inverse_alpha": ia}
-            for q, a, ia in rows
-        ])
-    return _csv(("q_gev", "alpha", "inverse_alpha"), rows)
+    return _emit(args.format, [
+        {"q_gev": q, "alpha": a, "inverse_alpha": 1.0 / a}
+        for q, a in curve.samples
+    ])
 
 
 def _cmd_qed_fit(args, constants):
     model = qed_mod.BetaModel(_load_table(args))
     fit = qed_mod.fit_light_quarks(model, args.target, constants)
-    pairs = [("scale_factor", fit.scale_factor),
-             ("achieved_inverse_alpha", fit.achieved_inverse_alpha),
-             ("iterations", fit.iterations)]
-    if args.format == "json":
-        return _json(dict(pairs))
-    if args.format == "csv":
-        return _csv([k for k, _ in pairs], [[v for _, v in pairs]])
-    return _kv(pairs)
+    return _emit(args.format, vars(fit))
 
 
 # ---------------------------------------------------------------------- qcd
 
 def _cmd_qcd_lambda(args, constants):
     value = qcd_mod.lambda_qcd(args.alpha, args.nf, constants)
-    if args.format == "json":
-        return _json({"lambda_gev": value})
-    if args.format == "csv":
-        return _csv(("lambda_gev",), [(value,)])
-    return f"{value:.3g} GeV\n"
+    return _emit(args.format, {"lambda_gev": value},
+                 table=lambda r: f"{r['lambda_gev']:.3g} GeV\n")
 
 
 def _cmd_qcd_alpha_s_lambda(args, constants):
     scheme = qcd_mod.make_scheme(args.nf, args.lambda_gev)
     value = qcd_mod.alpha_s_lambda(args.q, scheme)
-    if args.format == "json":
-        return _json({"alpha_s": value})
-    if args.format == "csv":
-        return _csv(("alpha_s",), [(value,)])
-    return f"{value:.10g}\n"
+    return _emit(args.format, {"alpha_s": value},
+                 table=lambda r: f"{r['alpha_s']:.10g}\n")
 
 
 def _cmd_qcd_alpha_s_mu(args, constants):
     value = qcd_mod.alpha_s_mu(args.q, args.mu, args.alpha_mu, args.nf)
-    if args.format == "json":
-        return _json({"alpha_s": value})
-    if args.format == "csv":
-        return _csv(("alpha_s",), [(value,)])
-    return f"{value:.10g}\n"
+    return _emit(args.format, {"alpha_s": value},
+                 table=lambda r: f"{r['alpha_s']:.10g}\n")
 
 
 def _cmd_qcd_run(args, constants):
@@ -268,82 +250,56 @@ def _cmd_qcd_run(args, constants):
         model, args.qmin, steps=args.steps, constants=constants,
         rtol=args.rtol,
     )
-    rows = list(result.curve.samples)
-    if args.format == "json":
-        return _json({
-            "flavor": args.flavor,
-            "lambda_peak": result.lambda_peak,
-            "alpha_max": result.alpha_max,
-            "samples": [{"q_gev": q, "alpha_s": a} for q, a in rows],
-        })
-    return _csv(("q_gev", "alpha_s"), rows)
+    samples = [{"q_gev": q, "alpha_s": a} for q, a in result.curve.samples]
+    return _emit(args.format, {
+        "flavor": args.flavor,
+        "lambda_peak": result.lambda_peak,
+        "alpha_max": result.alpha_max,
+        "samples": samples,
+    }, rows=samples)
 
 
 def _cmd_qcd_threshold(args, constants):
     est = qcd_mod.hadronization_threshold(args.lambda_gev, args.alphamax)
-    pairs = [("lambda_gev", est.lambda_i), ("alpha_max", est.alpha_max),
-             ("length_fm", est.length_scale), ("energy_gev", est.energy)]
-    if args.format == "json":
-        return _json(dict(pairs))
-    if args.format == "csv":
-        return _csv([k for k, _ in pairs], [[v for _, v in pairs]])
-    return _kv(pairs)
+    return _emit(args.format, {
+        "lambda_gev": est.lambda_i, "alpha_max": est.alpha_max,
+        "length_fm": est.length_scale, "energy_gev": est.energy,
+    })
 
 
 # ------------------------------------------------------------------- effpot
 
-def _effpot_params(args):
-    return pot_mod.PotentialParams(sigma=args.sigma, lam=args.lam)
-
-
-def _report_dict(report) -> dict:
-    return {
-        "phi": report.phi,
-        "v": _complex_dict(report.v),
-        "d1": _complex_dict(report.d1),
-        "d2": _complex_dict(report.d2),
-        "d3": _complex_dict(report.d3),
-        "d4": _complex_dict(report.d4),
-    }
+def _effpot_scheme(args):
+    p = pot_mod.PotentialParams(sigma=args.sigma, lam=args.lam)
+    return p, pot_mod.scheme_for(args.sector, p)
 
 
 def _cmd_effpot_table(args, constants):
-    p = _effpot_params(args)
-    c = pot_mod.scheme_for(args.sector, p)
-    broken, origin = pot_mod.two_phase_table(p, c)
-    if args.format == "json":
-        return _json({"sector": args.sector,
-                      "broken": _report_dict(broken),
-                      "origin": _report_dict(origin)})
-    quantities = ("phi", "v", "d1", "d2", "d3", "d4")
-    if args.format == "csv":
-        rows = []
-        for q in quantities:
-            b, o = getattr(broken, q), getattr(origin, q)
-            b, o = complex(b), complex(o)
-            rows.append((q, b.real, b.imag, o.real, o.imag))
-        return _csv(("quantity", "broken_re", "broken_im",
-                     "origin_re", "origin_im"), rows)
-    lines = [f"sector: {args.sector}",
-             f"{'quantity':<10}{'broken vacuum':<42}origin"]
-    for q in quantities:
-        b, o = complex(getattr(broken, q)), complex(getattr(origin, q))
-        lines.append(f"{q:<10}{_complex_str(b):<42}{_complex_str(o)}")
-    return "\n".join(lines) + "\n"
+    broken, origin = map(vars, pot_mod.two_phase_table(*_effpot_scheme(args)))
+    pairs = [(q, complex(b), complex(origin[q])) for q, b in broken.items()]
+    rows = [{"quantity": q, "broken_re": b.real, "broken_im": b.imag,
+             "origin_re": o.real, "origin_im": o.imag} for q, b, o in pairs]
+
+    def table(data):
+        lines = [f"sector: {args.sector}",
+                 f"{'quantity':<10}{'broken vacuum':<42}origin"]
+        lines += [f"{q:<10}{_complex_str(b):<42}{_complex_str(o)}"
+                  for q, b, o in pairs]
+        return "\n".join(lines) + "\n"
+    return _emit(args.format, {"sector": args.sector, "broken": broken,
+                               "origin": origin}, table=table, rows=rows)
+
+
+def _potential_rows(phis, p, c):
+    rows = []
+    for phi in phis:
+        v = pot_mod.one_loop_potential(phi, p, c)
+        rows.append({"phi": phi, "re_v": v.real, "im_v": v.imag})
+    return rows
 
 
 def _cmd_effpot_value(args, constants):
-    p = _effpot_params(args)
-    c = pot_mod.scheme_for(args.sector, p)
-    rows = []
-    for phi in args.phi:
-        v = pot_mod.one_loop_potential(phi, p, c)
-        rows.append((phi, v.real, v.imag))
-    if args.format == "json":
-        return _json([
-            {"phi": phi, "re_v": re, "im_v": im} for phi, re, im in rows
-        ])
-    return _csv(("phi", "re_v", "im_v"), rows)
+    return _emit(args.format, _potential_rows(args.phi, *_effpot_scheme(args)))
 
 
 def _cmd_effpot_scan(args, constants):
@@ -351,38 +307,15 @@ def _cmd_effpot_scan(args, constants):
         raise ValidationError("scan needs at least 2 points")
     if args.phimax <= 0:
         raise ValidationError("phimax must be positive")
-    p = _effpot_params(args)
-    c = pot_mod.scheme_for(args.sector, p)
     step = args.phimax / (args.n - 1)
-    rows = []
-    for i in range(args.n):
-        phi = i * step
-        v = pot_mod.one_loop_potential(phi, p, c)
-        rows.append((phi, v.real, v.imag))
-    if args.format == "json":
-        return _json([
-            {"phi": phi, "re_v": re, "im_v": im} for phi, re, im in rows
-        ])
-    return _csv(("phi", "re_v", "im_v"), rows)
+    phis = [i * step for i in range(args.n)]
+    return _emit(args.format, _potential_rows(phis, *_effpot_scheme(args)))
 
 
 def _cmd_effpot_derivs(args, constants):
-    p = _effpot_params(args)
-    c = pot_mod.scheme_for(args.sector, p)
-    reports = [pot_mod.sector_report(phi, p, c) for phi in args.phi]
-    if args.format == "json":
-        return _json([_report_dict(r) for r in reports])
-    header = ["phi"]
-    for q in ("v", "d1", "d2", "d3", "d4"):
-        header.extend((f"re_{q}", f"im_{q}"))
-    rows = []
-    for r in reports:
-        row = [r.phi]
-        for q in ("v", "d1", "d2", "d3", "d4"):
-            z = complex(getattr(r, q))
-            row.extend((z.real, z.imag))
-        rows.append(row)
-    return _csv(header, rows)
+    p, c = _effpot_scheme(args)
+    return _emit(args.format,
+                 [vars(pot_mod.sector_report(phi, p, c)) for phi in args.phi])
 
 
 # --------------------------------------------------------------------- lamb
@@ -399,30 +332,20 @@ def _cmd_lamb_2s2p(args, constants):
         nuclear_mhz=args.nuclear, convention=convention,
         constants=constants,
     )
-    pairs = [("baseline", report.baseline),
-             ("radiative", report.radiative),
-             ("vacuum_polarization", report.vacuum_polarization),
-             ("nuclear_size", report.nuclear_size),
-             ("total", report.total)]
-    if args.format == "json":
-        return _json(dict(pairs))
-    if args.format == "csv":
-        return _csv([k for k, _ in pairs], [[v for _, v in pairs]])
-    lines = [f"convention: {convention}, b2r mode: {mode}"]
-    for k, v in pairs:
-        lines.append(f"{k:<22}{v / 1e6:18.6f} MHz")
-    return "\n".join(lines) + "\n"
+
+    def table(data):
+        lines = [f"convention: {convention}, b2r mode: {mode}"]
+        lines += [f"{k:<22}{v / 1e6:18.6f} MHz" for k, v in data.items()]
+        return "\n".join(lines) + "\n"
+    return _emit(args.format, vars(report), table=table)
 
 
 def _cmd_lamb_rde(args, constants):
     freq = lamb_mod.rde_transition_1s2s(args.atom, constants)
-    if args.format == "json":
-        return _json({"atom": args.atom, "transition": args.transition,
-                      "frequency_hz": freq})
-    if args.format == "csv":
-        return _csv(("atom", "transition", "frequency_hz"),
-                    [(args.atom, args.transition, freq)])
-    return f"{freq:.10g} Hz\n"
+    return _emit(args.format, {"atom": args.atom,
+                               "transition": args.transition,
+                               "frequency_hz": freq},
+                 table=lambda r: f"{r['frequency_hz']:.10g} Hz\n")
 
 
 def _cmd_lamb_vp(args, constants):
@@ -432,41 +355,48 @@ def _cmd_lamb_vp(args, constants):
         mass = lamb_mod.reduced_mass(constants.electron_mass,
                                      constants.proton_mass)
     shift = lamb_mod.uehling_2s_shift(mass, constants)
-    if args.format == "json":
-        return _json({"mass_mev": mass, "shift_mhz": shift})
-    if args.format == "csv":
-        return _csv(("mass_mev", "shift_mhz"), [(mass, shift)])
-    return f"{shift:.10g} MHz\n"
+    return _emit(args.format, {"mass_mev": mass, "shift_mhz": shift},
+                 table=lambda r: f"{r['shift_mhz']:.10g} MHz\n")
 
 
 # ---------------------------------------------------------- constants/fixtures
 
 def _cmd_constants_show(args, constants):
-    from dataclasses import fields as dc_fields
-    pairs = [(f.name, getattr(constants, f.name))
-             for f in dc_fields(constants)]
-    if args.format == "json":
-        return _json(dict(pairs))
-    if args.format == "csv":
-        return _csv([k for k, _ in pairs], [[v for _, v in pairs]])
-    return _kv(pairs)
+    return _emit(args.format, vars(constants))
 
+
+# fixtures are display strings: csv and table both print the plain text
 
 def _cmd_fixtures_show(args, constants):
     text = fixtures_mod.show(args.key)
     if args.format == "json":
-        return _json({"key": args.key, "text": text})
+        return _emit("json", {"key": args.key, "text": text})
     return text + "\n"
 
 
 def _cmd_fixtures_list(args, constants):
     table = fixtures_mod.load_fixtures()
     if args.format == "json":
-        return _json(table)
+        return _emit("json", table)
     return "".join(f"{k}: {v}\n" for k, v in table.items())
 
 
 # ------------------------------------------------------------------ wiring
+
+def _family(sub, name, help):
+    p = sub.add_parser(name, help=help)
+    return p.add_subparsers(dest="verb", parser_class=_Parser, required=True)
+
+
+def _leaf(sub, name, handler):
+    p = sub.add_parser(name)
+    p.add_argument("--config", help="key=value constants override file")
+    p.add_argument("--format", choices=("table", "csv", "json"),
+                   default="table")
+    p.add_argument("--out", help="write output to this path")
+    p.set_defaults(handler=handler)
+    return p
+
 
 def build_parser() -> _Parser:
     root = _Parser(prog="rrm-lab",
@@ -474,150 +404,103 @@ def build_parser() -> _Parser:
     sub = root.add_subparsers(dest="command", parser_class=_Parser,
                               required=True)
 
-    p = sub.add_parser("regulator", help="regulated integrals and oracles")
-    rsub = p.add_subparsers(dest="verb", parser_class=_Parser, required=True)
-    pv = rsub.add_parser("value")
-    _common_flags(pv)
-    pv.add_argument("--family", choices=("log", "quartic"), required=True)
-    pv.add_argument("--msq", type=float, nargs="+", required=True)
-    pv.add_argument("--c1", type=float, default=0.0)
-    pv.add_argument("--c2", type=float, default=0.0)
-    pv.add_argument("--c3", type=float, default=0.0)
-    pv.set_defaults(handler=_cmd_regulator_value)
-    po = rsub.add_parser("oracle")
-    _common_flags(po)
-    po.add_argument("--family", choices=("log", "quartic"), required=True)
-    po.add_argument("--msq", type=float, nargs="+", required=True)
-    po.add_argument("--rtol", type=float, default=1e-10)
-    po.add_argument("--atol", type=float, default=1e-12)
-    po.set_defaults(handler=_cmd_regulator_oracle)
+    fam = _family(sub, "regulator", "regulated integrals and oracles")
+    p = _leaf(fam, "value", _cmd_regulator_value)
+    p.add_argument("--family", choices=("log", "quartic"), required=True)
+    p.add_argument("--msq", type=_finite, nargs="+", required=True)
+    p.add_argument("--c1", type=_finite, default=0.0)
+    p.add_argument("--c2", type=_finite, default=0.0)
+    p.add_argument("--c3", type=_finite, default=0.0)
+    p = _leaf(fam, "oracle", _cmd_regulator_oracle)
+    p.add_argument("--family", choices=("log", "quartic"), required=True)
+    p.add_argument("--msq", type=_finite, nargs="+", required=True)
+    p.add_argument("--rtol", type=_finite, default=1e-10)
+    p.add_argument("--atol", type=_finite, default=1e-12)
 
-    p = sub.add_parser("selfenergy", help="self-energy and zeta schemes")
-    ssub = p.add_subparsers(dest="verb", parser_class=_Parser, required=True)
-    pz = ssub.add_parser("zeta")
-    _common_flags(pz)
-    pz.add_argument("--Z", dest="z", type=int, required=True)
-    pz.add_argument("--n", type=int, nargs="+", required=True)
-    pz.add_argument("--scheme", choices=("S", "V", "S+V", "SV", "all"),
-                    default="all")
-    pz.set_defaults(handler=_cmd_selfenergy_zeta)
-    pon = ssub.add_parser("onshell")
-    _common_flags(pon)
-    pon.add_argument("--m", type=float, help="mass in MeV")
-    pon.set_defaults(handler=_cmd_selfenergy_onshell)
+    fam = _family(sub, "selfenergy", "self-energy and zeta schemes")
+    p = _leaf(fam, "zeta", _cmd_selfenergy_zeta)
+    p.add_argument("--Z", dest="z", type=int, required=True)
+    p.add_argument("--n", type=int, nargs="+", required=True)
+    p.add_argument("--scheme", choices=("S", "V", "S+V", "SV", "all"),
+                   default="all")
+    p = _leaf(fam, "onshell", _cmd_selfenergy_onshell)
+    p.add_argument("--m", type=_finite, help="mass in MeV")
 
-    p = sub.add_parser("qed", help="electromagnetic running coupling")
-    qsub = p.add_subparsers(dest="verb", parser_class=_Parser, required=True)
-    pr = qsub.add_parser("run")
-    _common_flags(pr)
-    pr.add_argument("--qmax", type=float, required=True)
-    pr.add_argument("--table", help="particle table override")
-    pr.add_argument("--rtol", type=float, default=1e-10)
-    pr.add_argument("--steps", type=int)
-    pr.set_defaults(handler=_cmd_qed_run)
-    pf = qsub.add_parser("fit")
-    _common_flags(pf)
-    pf.add_argument("--target", type=float, required=True)
-    pf.add_argument("--table", help="particle table override")
-    pf.set_defaults(handler=_cmd_qed_fit)
+    fam = _family(sub, "qed", "electromagnetic running coupling")
+    p = _leaf(fam, "run", _cmd_qed_run)
+    p.add_argument("--qmax", type=_finite, required=True)
+    p.add_argument("--table", help="particle table override")
+    p.add_argument("--rtol", type=_finite, default=1e-10)
+    p.add_argument("--steps", type=int)
+    p = _leaf(fam, "fit", _cmd_qed_fit)
+    p.add_argument("--target", type=_finite, required=True)
+    p.add_argument("--table", help="particle table override")
 
-    p = sub.add_parser("qcd", help="strong running coupling")
-    csub = p.add_subparsers(dest="verb", parser_class=_Parser, required=True)
-    pl = csub.add_parser("lambda")
-    _common_flags(pl)
-    pl.add_argument("--alpha", type=float, required=True)
-    pl.add_argument("--nf", type=int, required=True)
-    pl.set_defaults(handler=_cmd_qcd_lambda)
-    pal = csub.add_parser("alpha-s-lambda")
-    _common_flags(pal)
-    pal.add_argument("--q", type=float, required=True)
-    pal.add_argument("--lambda", dest="lambda_gev", type=float,
-                     required=True)
-    pal.add_argument("--nf", type=int, required=True)
-    pal.set_defaults(handler=_cmd_qcd_alpha_s_lambda)
-    pam = csub.add_parser("alpha-s-mu")
-    _common_flags(pam)
-    pam.add_argument("--q", type=float, required=True)
-    pam.add_argument("--mu", type=float, required=True)
-    pam.add_argument("--alpha-mu", dest="alpha_mu", type=float,
-                     required=True)
-    pam.add_argument("--nf", type=int, required=True)
-    pam.set_defaults(handler=_cmd_qcd_alpha_s_mu)
-    prn = csub.add_parser("run")
-    _common_flags(prn)
-    prn.add_argument("--flavor", choices=("u", "d", "s", "c", "b"),
-                     required=True)
-    prn.add_argument("--qmin", type=float, required=True)
-    prn.add_argument("--table", help="particle table override")
-    prn.add_argument("--anchor", type=float, default=0.118,
-                     help="alpha_s at the Z mass")
-    prn.add_argument("--rtol", type=float, default=1e-10)
-    prn.add_argument("--steps", type=int)
-    prn.set_defaults(handler=_cmd_qcd_run)
-    pt = csub.add_parser("threshold")
-    _common_flags(pt)
-    pt.add_argument("--lambda", dest="lambda_gev", type=float,
-                    required=True)
-    pt.add_argument("--alphamax", type=float, required=True)
-    pt.set_defaults(handler=_cmd_qcd_threshold)
+    fam = _family(sub, "qcd", "strong running coupling")
+    p = _leaf(fam, "lambda", _cmd_qcd_lambda)
+    p.add_argument("--alpha", type=_finite, required=True)
+    p.add_argument("--nf", type=int, required=True)
+    p = _leaf(fam, "alpha-s-lambda", _cmd_qcd_alpha_s_lambda)
+    p.add_argument("--q", type=_finite, required=True)
+    p.add_argument("--lambda", dest="lambda_gev", type=_finite, required=True)
+    p.add_argument("--nf", type=int, required=True)
+    p = _leaf(fam, "alpha-s-mu", _cmd_qcd_alpha_s_mu)
+    p.add_argument("--q", type=_finite, required=True)
+    p.add_argument("--mu", type=_finite, required=True)
+    p.add_argument("--alpha-mu", dest="alpha_mu", type=_finite, required=True)
+    p.add_argument("--nf", type=int, required=True)
+    p = _leaf(fam, "run", _cmd_qcd_run)
+    p.add_argument("--flavor", choices=("u", "d", "s", "c", "b"),
+                   required=True)
+    p.add_argument("--qmin", type=_finite, required=True)
+    p.add_argument("--table", help="particle table override")
+    p.add_argument("--anchor", type=_finite, default=0.118,
+                   help="alpha_s at the Z mass")
+    p.add_argument("--rtol", type=_finite, default=1e-10)
+    p.add_argument("--steps", type=int)
+    p = _leaf(fam, "threshold", _cmd_qcd_threshold)
+    p.add_argument("--lambda", dest="lambda_gev", type=_finite, required=True)
+    p.add_argument("--alphamax", type=_finite, required=True)
 
-    p = sub.add_parser("effpot", help="effective potential")
-    esub = p.add_subparsers(dest="verb", parser_class=_Parser, required=True)
+    fam = _family(sub, "effpot", "effective potential")
     for verb, handler in (("table", _cmd_effpot_table),
                           ("value", _cmd_effpot_value),
                           ("scan", _cmd_effpot_scan),
                           ("derivs", _cmd_effpot_derivs)):
-        pe = esub.add_parser(verb)
-        _common_flags(pe)
-        pe.add_argument("--sigma", type=float, required=True)
-        pe.add_argument("--lambda", dest="lam", type=float, required=True)
-        pe.add_argument("--sector", choices=("ssb", "symmetric"),
-                        default="ssb")
+        p = _leaf(fam, verb, handler)
+        p.add_argument("--sigma", type=_finite, required=True)
+        p.add_argument("--lambda", dest="lam", type=_finite, required=True)
+        p.add_argument("--sector", choices=("ssb", "symmetric"),
+                       default="ssb")
         if verb in ("value", "derivs"):
-            pe.add_argument("--phi", type=float, nargs="+", required=True)
+            p.add_argument("--phi", type=_finite, nargs="+", required=True)
         if verb == "scan":
-            pe.add_argument("--phimax", type=float, required=True)
-            pe.add_argument("--n", type=int, required=True)
-        pe.set_defaults(handler=handler)
+            p.add_argument("--phimax", type=_finite, required=True)
+            p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("lamb", help="hydrogen transitions")
-    lsub = p.add_subparsers(dest="verb", parser_class=_Parser, required=True)
-    p2 = lsub.add_parser("2s2p")
-    _common_flags(p2)
-    p2.add_argument("--convention", choices=("2l", "3l"), default="2l")
-    p2.add_argument("--b2r", choices=("formula", "frozen"), default="frozen")
-    p2.add_argument("--vp", type=float, default=lamb_mod.DEFAULT_VP_MHZ,
-                    help="vacuum-polarization term in MHz")
-    p2.add_argument("--nuclear", type=float,
-                    default=lamb_mod.DEFAULT_NUCLEAR_MHZ,
-                    help="nuclear-size term in MHz")
-    p2.set_defaults(handler=_cmd_lamb_2s2p)
-    prd = lsub.add_parser("rde")
-    _common_flags(prd)
-    prd.add_argument("--atom", choices=("H", "D"), required=True)
-    prd.add_argument("--transition", choices=("1s2s",), required=True)
-    prd.set_defaults(handler=_cmd_lamb_rde)
-    pvp = lsub.add_parser("vp")
-    _common_flags(pvp)
-    pvp.add_argument("--mass", choices=("electron", "reduced"),
-                     default="electron")
-    pvp.set_defaults(handler=_cmd_lamb_vp)
+    fam = _family(sub, "lamb", "hydrogen transitions")
+    p = _leaf(fam, "2s2p", _cmd_lamb_2s2p)
+    p.add_argument("--convention", choices=("2l", "3l"), default="2l")
+    p.add_argument("--b2r", choices=("formula", "frozen"), default="frozen")
+    p.add_argument("--vp", type=_finite, default=lamb_mod.DEFAULT_VP_MHZ,
+                   help="vacuum-polarization term in MHz")
+    p.add_argument("--nuclear", type=_finite,
+                   default=lamb_mod.DEFAULT_NUCLEAR_MHZ,
+                   help="nuclear-size term in MHz")
+    p = _leaf(fam, "rde", _cmd_lamb_rde)
+    p.add_argument("--atom", choices=("H", "D"), required=True)
+    p.add_argument("--transition", choices=("1s2s",), required=True)
+    p = _leaf(fam, "vp", _cmd_lamb_vp)
+    p.add_argument("--mass", choices=("electron", "reduced"),
+                   default="electron")
 
-    p = sub.add_parser("constants", help="pinned physical constants")
-    ksub = p.add_subparsers(dest="verb", parser_class=_Parser, required=True)
-    pk = ksub.add_parser("show")
-    _common_flags(pk)
-    pk.set_defaults(handler=_cmd_constants_show)
+    fam = _family(sub, "constants", "pinned physical constants")
+    _leaf(fam, "show", _cmd_constants_show)
 
-    p = sub.add_parser("fixtures", help="read-only reference values")
-    fsub = p.add_subparsers(dest="verb", parser_class=_Parser, required=True)
-    pfs = fsub.add_parser("show")
-    _common_flags(pfs)
-    pfs.add_argument("key")
-    pfs.set_defaults(handler=_cmd_fixtures_show)
-    pfl = fsub.add_parser("list")
-    _common_flags(pfl)
-    pfl.set_defaults(handler=_cmd_fixtures_list)
+    fam = _family(sub, "fixtures", "read-only reference values")
+    p = _leaf(fam, "show", _cmd_fixtures_show)
+    p.add_argument("key")
+    _leaf(fam, "list", _cmd_fixtures_list)
 
     return root
 

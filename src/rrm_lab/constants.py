@@ -7,6 +7,7 @@ tests can vary alpha or the gyromagnetic factor without cross-talk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from importlib import resources
@@ -72,11 +73,16 @@ def load_config(path) -> PhysicalConstants:
             if key not in known:
                 raise ValidationError(f"{path}:{lineno}: unknown key '{key}'")
             try:
-                overrides[key] = float(value.strip())
+                number = float(value.strip())
             except ValueError:
+                number = math.nan
+            # nan and inf pass every `x <= 0` check downstream
+            if not math.isfinite(number):
                 raise ValidationError(
-                    f"{path}:{lineno}: '{value.strip()}' is not a number"
-                ) from None
+                    f"{path}:{lineno}: '{value.strip()}' is not a finite "
+                    "number"
+                )
+            overrides[key] = number
     return replace(DEFAULT_CONSTANTS, **overrides)
 
 

@@ -27,13 +27,12 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .regulator import (
+    FOUR_PI_SQ,
     KAPPA,
     RegulatedQuarticIntegral,
     principal_log_msq,
     quartic_integral_value,
 )
-
-FOUR_PI_SQ = (4.0 * math.pi) ** 2
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,17 @@ def _radial_quadrature(integrand, m_sq: float, spec: QuadratureSpec) -> float:
     return value
 
 
+def _euclidean_cube_integral(m_sq: float, spec: QuadratureSpec) -> float:
+    """int d^4k/(2 pi)^4 (k^2+M^2)^-3 = (2 pi^2/(2 pi)^4) int_0^inf
+    k^3/(k^2+M^2)^3 dk by radial quadrature; both oracles evaluate it."""
+    prefactor = (2.0 * math.pi ** 2) / (2.0 * math.pi) ** 4
+
+    def integrand(k):
+        return k ** 3 / (k * k + m_sq) ** 3
+
+    return prefactor * _radial_quadrature(integrand, m_sq, spec)
+
+
 def log_derivative_oracle(m_sq: float,
                           spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Numeric value of the once-differentiated log integral.
@@ -150,12 +161,7 @@ def log_derivative_oracle(m_sq: float,
     """
     if m_sq <= 0:
         raise ValidationError("oracle needs M^2 > 0")
-    prefactor = 2.0 * (2.0 * math.pi ** 2) / (2.0 * math.pi) ** 4
-
-    def integrand(k):
-        return k ** 3 / (k * k + m_sq) ** 3
-
-    return prefactor * _radial_quadrature(integrand, m_sq, spec)
+    return 2.0 * _euclidean_cube_integral(m_sq, spec)
 
 
 def quartic_third_derivative_oracle(
@@ -167,12 +173,7 @@ def quartic_third_derivative_oracle(
     """
     if m_sq <= 0:
         raise ValidationError("oracle needs M^2 > 0")
-    prefactor = (2.0 * math.pi ** 2) / (2.0 * math.pi) ** 4
-
-    def integrand(k):
-        return k ** 3 / (k * k + m_sq) ** 3
-
-    return prefactor * _radial_quadrature(integrand, m_sq, spec)
+    return _euclidean_cube_integral(m_sq, spec)
 
 
 def log_derivative_closed_form(m_sq: float) -> float:

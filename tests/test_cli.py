@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from conftest import cli_csv, cli_json, run_cli
+import pytest
+
+from conftest import CLI, cli_csv, cli_json, run_cli
 
 
 def test_lambda_human_format():
@@ -59,6 +61,7 @@ def test_usage_exit_codes():
     assert run_cli("qcd", "lambda", "--alpha", "x", "--nf",
                    "5").returncode == 64
     assert run_cli("qcd", "lambda").returncode == 64
+    assert run_cli("constants", "show", "--quiet").returncode == 64
 
 
 def test_determinism_byte_identical():
@@ -190,11 +193,6 @@ def test_closed_form_command_loads_no_numpy_or_scipy():
     assert "zeta<S>" in proc.stdout
 
 
-def test_quiet_flag_accepted():
-    proc = run_cli("constants", "show", "--quiet")
-    assert proc.returncode == 0
-
-
 def test_json_outputs_parse():
     for args in (("qcd", "threshold", "--lambda", "7.04", "--alphamax",
                   "0.161"),
@@ -203,3 +201,28 @@ def test_json_outputs_parse():
         proc = run_cli(*args, "--format", "json")
         assert proc.returncode == 0
         json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv,config", [
+    (("regulator", "value", "--family", "quartic", "--msq", "nan"), None),
+    (("selfenergy", "onshell", "--m", "nan"), None),
+    (("effpot", "value", "--sigma", "1", "--lambda", "0.5", "--phi", "nan"),
+     None),
+    (("lamb", "rde", "--atom", "H", "--transition", "1s2s"), "alpha = nan\n"),
+    (("qed", "run", "--qmax", "nan"), None),
+    (("qcd", "run", "--flavor", "u", "--qmin", "nan"), None),
+    (("qed", "run", "--qmax", "inf"), None),
+])
+def test_non_finite_input_is_rejected(argv, config, tmp_path):
+    # nan passes every `x <= 0` guard: these printed nan with exit 0, hung
+    # in the ODE solver or ended in an OverflowError traceback
+    if config is not None:
+        path = tmp_path / "constants.txt"
+        path.write_text(config)
+        argv = (*argv, "--config", str(path))
+    proc = subprocess.run([*CLI, *argv], capture_output=True, text=True,
+                          timeout=10)
+    assert proc.returncode in (2, 64), proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.strip()
+    assert "Traceback" not in proc.stderr
