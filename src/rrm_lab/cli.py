@@ -208,7 +208,7 @@ def _load_table(args):
 def _cmd_qed_run(args, constants):
     model = qed_mod.BetaModel(_load_table(args))
     curve = qed_mod.evolve_alpha(args.qmax, model, steps=args.steps,
-                                 constants=constants, rtol=args.rtol)
+                                 constants=constants)
     return _emit(args.format, [
         {"q_gev": q, "alpha": a, "inverse_alpha": 1.0 / a}
         for q, a in curve.samples
@@ -247,8 +247,7 @@ def _cmd_qcd_run(args, constants):
         table=_load_table(args), alpha_s_mz=args.anchor, flavor=args.flavor
     )
     result = qcd_mod.evolve_alpha_s_massive(
-        model, args.qmin, steps=args.steps, constants=constants,
-        rtol=args.rtol,
+        model, args.qmin, steps=args.steps, constants=constants
     )
     samples = [{"q_gev": q, "alpha_s": a} for q, a in result.curve.samples]
     return _emit(args.format, {
@@ -398,6 +397,10 @@ def _leaf(sub, name, handler):
     return p
 
 
+# the runnings are closed forms; --rtol stays valid so older invocations run
+_EXACT_RTOL = "accepted and ignored: the running is exact"
+
+
 def build_parser() -> _Parser:
     root = _Parser(prog="rrm-lab",
                    description="Regulated loop integrals and their physics")
@@ -430,7 +433,7 @@ def build_parser() -> _Parser:
     p = _leaf(fam, "run", _cmd_qed_run)
     p.add_argument("--qmax", type=_finite, required=True)
     p.add_argument("--table", help="particle table override")
-    p.add_argument("--rtol", type=_finite, default=1e-10)
+    p.add_argument("--rtol", type=_finite, default=1e-10, help=_EXACT_RTOL)
     p.add_argument("--steps", type=int)
     p = _leaf(fam, "fit", _cmd_qed_fit)
     p.add_argument("--target", type=_finite, required=True)
@@ -456,7 +459,7 @@ def build_parser() -> _Parser:
     p.add_argument("--table", help="particle table override")
     p.add_argument("--anchor", type=_finite, default=0.118,
                    help="alpha_s at the Z mass")
-    p.add_argument("--rtol", type=_finite, default=1e-10)
+    p.add_argument("--rtol", type=_finite, default=1e-10, help=_EXACT_RTOL)
     p.add_argument("--steps", type=int)
     p = _leaf(fam, "threshold", _cmd_qcd_threshold)
     p.add_argument("--lambda", dest="lambda_gev", type=_finite, required=True)

@@ -19,15 +19,19 @@ from dataclasses import dataclass
 
 from .constants import DEFAULT_CONSTANTS, ParticleTable, PhysicalConstants
 from .errors import NumericsError, ValidationError
-from .qed import CouplingCurve, _loop_shape
+from .qed import (
+    DEFAULT_SAMPLES,
+    CouplingCurve,
+    _increasing_root,
+    _log_grid,
+    _loop_shape,
+    loop_integral,
+)
 
 HBARC_GEV_FM = 0.19733        # hbar c in GeV fm
 
 # evolution guard: report blow-up once the coupling passes 4 pi
 ALPHA_S_GUARD = 4.0 * math.pi
-
-_ODE_RTOL = 1e-10
-_ODE_ATOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -82,8 +86,8 @@ class ThresholdEstimate:
 @dataclass(frozen=True)
 class MassiveEvolution:
     curve: CouplingCurve
-    lambda_peak: float    # None when the curve has no interior maximum
-    alpha_max: float      # None when the curve has no interior maximum
+    lambda_peak: float    # None: the massive curve has no interior maximum
+    alpha_max: float      # None: the massive curve has no interior maximum
 
 
 def lambda_qcd(alpha_s_mz: float, n_f: int,
@@ -127,6 +131,8 @@ def alpha_s_mu(q: float, mu: float, alpha_mu: float, n_f: int) -> float:
 
 
 def _massive_beta(alpha_s: float, q: float, quarks) -> float:
+    """Q d alpha_s/dQ of the mass-retaining model; the exact running in
+    evolve_alpha_s_massive is its integral."""
     flavor_sum = sum(_loop_shape(q / sp.mass) for sp in quarks)
     return -(alpha_s * alpha_s / (2.0 * math.pi)) \
         * (11.0 - (2.0 / 3.0) * flavor_sum)
@@ -134,67 +140,55 @@ def _massive_beta(alpha_s: float, q: float, quarks) -> float:
 
 def evolve_alpha_s_massive(model: MassiveQcdModel, q_min: float,
                            steps: int = None,
-                           constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                           rtol: float = _ODE_RTOL, atol: float = _ODE_ATOL
+                           constants: PhysicalConstants = DEFAULT_CONSTANTS
                            ) -> MassiveEvolution:
-    """Integrate the mass-retaining beta down from the Z-mass anchor.
+    """Run alpha_s down from the Z-mass anchor to q_min, exactly.
 
-    Raises a blow-up report if the coupling passes 4 pi before q_min is
-    reached. The returned curve is ascending in Q; a maximum is reported
-    only if an interior one exists (the reconstructed beta never produces
-    one, so lambda_peak/alpha_max are None in practice).
+    Integrating the beta once in ln Q with the loop function H gives
+
+        1/alpha_s(Q) = 1/alpha_s(M_Z) + (1/2 pi) [11 ln(Q/M_Z)
+                       - (2/3) sum_q (H(Q/m_q) - H(M_Z/m_q))].
+
+    The curve holds `steps` log-spaced samples from q_min to M_Z (qed's
+    DEFAULT_SAMPLES when None), ascending in Q. If the coupling passes
+    4 pi above q_min, the error names the Q where it does. The bracket
+    11 - (2/3) sum_q h is at least 7, so alpha_s falls monotonically in Q
+    and lambda_peak/alpha_max are always None.
     """
     if q_min <= 0:
         raise ValidationError("q_min must be positive")
     m_z = constants.m_z_strong
     if q_min >= m_z:
         raise ValidationError("q_min must lie below the Z mass anchor")
-    quarks = model.table.quarks()
-    import numpy as np
-    from scipy.integrate import solve_ivp
+    anchor = model.alpha_s_mz
+    quarks = [(sp.mass, loop_integral(m_z / sp.mass))
+              for sp in model.table.quarks()]
+    rate = anchor / (2.0 * math.pi)
 
-    def rhs(t, y):
-        return [_massive_beta(y[0], math.exp(t), quarks)]
+    def denominator(q):
+        # alpha_s(Q) = anchor / denominator(Q); exactly 1 at the anchor
+        flavor_sum = sum(loop_integral(q / m) - h_z for m, h_z in quarks)
+        return 1.0 + rate * (11.0 * math.log(q / m_z)
+                             - (2.0 / 3.0) * flavor_sum)
 
-    def guard(t, y):
-        return y[0] - ALPHA_S_GUARD
-    guard.terminal = True
-    guard.direction = 1.0
-
-    t_span = (math.log(m_z), math.log(q_min))
-    t_eval = None
-    if steps is not None:
-        if steps < 2:
-            raise ValidationError("steps must be at least 2")
-        t_eval = np.linspace(t_span[0], t_span[1], steps)
-    sol = solve_ivp(rhs, t_span, [model.alpha_s_mz], method="RK45",
-                    rtol=rtol, atol=atol, t_eval=t_eval, events=guard)
-    if not sol.success:
-        raise NumericsError(f"evolution failed: {sol.message}")
-    if sol.status == 1:           # guard event fired before q_min
-        last_q = math.exp(float(sol.t_events[0][0]))
+    floor = anchor / ALPHA_S_GUARD      # denominator where alpha_s = 4 pi
+    if denominator(q_min) < floor:
+        def excess(t):
+            # denominator rises with ln Q at rate * (11 - (2/3) sum h) > 0
+            q = math.exp(t)
+            slope = rate * (11.0 - (2.0 / 3.0) * sum(
+                _loop_shape(q / m) for m, _ in quarks))
+            return denominator(q) - floor, slope
+        last_q = math.exp(_increasing_root(excess, math.log(q_min),
+                                           math.log(m_z)))
         raise NumericsError(
             f"coupling exceeded 4 pi before reaching q_min; last valid "
-            f"Q = {last_q:.6g} GeV"
+            f"Q = {last_q:.12g} GeV"
         )
-
-    # integration ran downward; curve contract wants ascending Q
-    pairs = sorted(
-        (math.exp(t), float(a)) for t, a in zip(sol.t, sol.y[0])
-    )
-    curve = CouplingCurve(tuple(pairs),
-                          model_id=f"qcd-massive:{model.flavor}")
-
-    lambda_peak = None
-    alpha_max = None
-    alphas = [a for _, a in pairs]
-    qs = [q for q, _ in pairs]
-    for i in range(1, len(pairs) - 1):
-        if alphas[i] > alphas[i - 1] and alphas[i] > alphas[i + 1]:
-            lambda_peak, alpha_max = qs[i], alphas[i]
-            break
-    return MassiveEvolution(curve=curve, lambda_peak=lambda_peak,
-                            alpha_max=alpha_max)
+    grid = _log_grid(q_min, m_z, DEFAULT_SAMPLES if steps is None else steps)
+    samples = tuple((q, anchor / denominator(q)) for q in grid)
+    curve = CouplingCurve(samples, model_id=f"qcd-massive:{model.flavor}")
+    return MassiveEvolution(curve=curve, lambda_peak=None, alpha_max=None)
 
 
 def hadronization_threshold(lambda_i: float, alpha_max: float

@@ -1,34 +1,58 @@
-"""Mass-dependent QED beta function and RGE evolution of alpha.
+"""Mass-dependent QED beta function and the running of alpha.
 
 A single fermion of mass m contributes a closed-form beta that vanishes
 like Q^2/m^2 far below threshold and saturates at 2 alpha^2 / 3 pi far
 above it. The full beta sums the contributions of the nine charged
-fermions with exact color/charge weights N_c Q_f^2. Evolution runs in
-t = ln(Q / 1 GeV) with an adaptive embedded integrator.
+fermions with exact color/charge weights N_c Q_f^2.
+
+The running itself needs no integrator. d(1/alpha)/d ln Q is minus the
+loop shape h(Q/m) per unit weight, so integrating back once gives the
+exact loop function H(x) = int_0^x h(u)/u du, and
+
+    1/alpha(Q) = 1/alpha0 - (2/3 pi) sum_f N_c Q_f^2 [H(Q/m_f) - H(Q_0/m_f)]
+
+with the constant fixed at the Thomson limit Q_0 (Peskin & Schroeder 7.5).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .constants import DEFAULT_CONSTANTS, ParticleTable, PhysicalConstants
 from .errors import NumericsError, ValidationError
 
-# ODE start: the boundary condition holds at Q -> 0; below this the total
-# beta is ~1e-11 and alpha is frozen well past the 1e-10 local tolerance.
+# Thomson-limit anchor: the boundary condition holds at Q -> 0; below this
+# the total beta is ~1e-11 and alpha is frozen
 Q_START_GEV = 1e-6
 
-_ODE_RTOL = 1e-10
-_ODE_ATOL = 1e-14
+# samples on a curve when no step count is given: log-spaced, both ends kept
+DEFAULT_SAMPLES = 101
 
 # fermion-loop shape switches from the log form to its series expansion
 # here; both are the same analytic function, the series is just stable
 _SERIES_X = 0.5
 
+# the loop function's closed form cancels to ~6e-14 relative near x = 0.5
+# and 4e-15 at x = 1; below 1 its series stays within 1e-15 in <= 26 terms
+_INTEGRAL_SERIES_X = 1.0
+
+# 1/alpha falls by this much per e-fold of Q per unit N_c Q_f^2 far above
+# every threshold
+_QED_SLOPE = 2.0 / (3.0 * math.pi)
+
+_MAX_ROOT_STEPS = 100
+
 
 @dataclass(frozen=True)
 class BetaModel:
+    """The particle table that drives the beta function.
+
+    crossover_ratio is where beta_single switches to its leading x^2/5
+    term; the curves use the exact loop function and do not depend on it.
+    """
+
     table: ParticleTable
     crossover_ratio: float = 0.01
 
@@ -50,15 +74,17 @@ class CouplingCurve:
             raise ValidationError("curve Q values must be strictly increasing")
 
     def alpha_at(self, q: float) -> float:
-        import numpy as np
-
-        qs = np.array([s[0] for s in self.samples])
+        """Linear interpolation in ln Q between the bracketing samples."""
+        qs = [s[0] for s in self.samples]
         if not qs[0] <= q <= qs[-1]:
             raise ValidationError(
                 f"Q = {q} outside sampled range [{qs[0]}, {qs[-1]}]"
             )
-        alphas = np.array([s[1] for s in self.samples])
-        return float(np.interp(math.log(q), np.log(qs), alphas))
+        i = bisect.bisect_left(qs, q)
+        if qs[i] == q:
+            return self.samples[i][1]
+        (q0, a0), (q1, a1) = self.samples[i - 1], self.samples[i]
+        return a0 + (a1 - a0) * math.log(q / q0) / math.log(q1 / q0)
 
 
 @dataclass(frozen=True)
@@ -103,6 +129,37 @@ def _loop_shape(x: float) -> float:
     return 1.0 - (6.0 / (x * x)) * g
 
 
+def loop_integral(x: float) -> float:
+    """The reintegrated loop H(x) = int_0^x h(u)/u du, x = Q/m.
+
+    H -> x^2/10 for small x and ln x - 5/6 for large x. Above x = 1 it is
+
+        H = (1/2) [-5/3 + 4/x^2 + 2 (1 - 2/x^2) sqrt(1 + 4/x^2) asinh(x/2)];
+
+    below, that form cancels, so the integrated Taylor series of h(x) =
+    sum c_n x^(2n) is summed instead, H = sum c_n x^(2n)/(2n) with c_1 = 1/5
+    and c_{n+1} = -c_n (n+2) / (2 (2n+5)); its terms shrink by about x^2/4.
+    """
+    if not x >= 0.0:
+        raise ValidationError("loop_integral needs x >= 0")
+    if x < _INTEGRAL_SERIES_X:
+        x_sq = x * x
+        c = 0.2
+        power = x_sq
+        total = 0.0
+        for n in range(1, 60):
+            term = c * power / (2 * n)
+            total += term
+            if abs(term) <= 1e-17 * total:
+                break
+            c *= -(n + 2) / (2.0 * (2 * n + 5))
+            power *= x_sq
+        return total
+    inv_sq = 4.0 / (x * x)
+    return 0.5 * (-5.0 / 3.0 + inv_sq + 2.0 * (1.0 - 0.5 * inv_sq)
+                  * math.sqrt(1.0 + inv_sq) * math.asinh(0.5 * x))
+
+
 def beta_single(alpha: float, q: float, m: float,
                 crossover_ratio: float = 0.01) -> float:
     """One-species beta; series form below the crossover, closed form above."""
@@ -131,30 +188,49 @@ def beta_total(alpha: float, q: float, model: BetaModel) -> float:
     return total
 
 
-def _final_alpha(q_max: float, model: BetaModel, alpha0: float,
-                 rtol: float = _ODE_RTOL, atol: float = _ODE_ATOL) -> float:
-    from scipy.integrate import solve_ivp
+def _log_grid(q_lo: float, q_hi: float, n: int) -> list:
+    """n points evenly spaced in ln Q from q_lo to q_hi, both ends exact."""
+    if n < 2:
+        raise ValidationError("steps must be at least 2")
+    t_lo = math.log(q_lo)
+    step = (math.log(q_hi) - t_lo) / (n - 1)
+    return [q_lo, *(math.exp(t_lo + i * step) for i in range(1, n - 1)),
+            q_hi]
 
-    def rhs(t, y):
-        return [beta_total(y[0], math.exp(t), model)]
 
-    sol = solve_ivp(
-        rhs, (math.log(Q_START_GEV), math.log(q_max)), [alpha0],
-        method="RK45", rtol=rtol, atol=atol,
-    )
-    if not sol.success:
-        raise NumericsError(f"evolution failed: {sol.message}")
-    return float(sol.y[0][-1])
+def _increasing_root(f, lo: float, hi: float, tol: float = 1e-14) -> float:
+    """Root of an increasing f on [lo, hi], with f(lo) < 0 <= f(hi).
+
+    f(u) returns (value, slope). Newton steps start from lo; a step that
+    would leave the shrinking bracket is replaced by bisection. Stops once
+    a step is below tol (relative to |u|, at least 1).
+    """
+    u = lo
+    for _ in range(_MAX_ROOT_STEPS):
+        value, slope = f(u)
+        if value == 0.0:
+            return u
+        if value < 0.0:
+            lo = u
+        else:
+            hi = u
+        nxt = u - value / slope
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - u) <= tol * max(1.0, abs(u)):
+            return nxt
+        u = nxt
+    raise NumericsError(f"root search did not converge in "
+                        f"{_MAX_ROOT_STEPS} steps")
 
 
 def evolve_alpha(q_max: float, model: BetaModel, steps: int = None,
-                 constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                 rtol: float = _ODE_RTOL, atol: float = _ODE_ATOL
+                 constants: PhysicalConstants = DEFAULT_CONSTANTS
                  ) -> CouplingCurve:
     """Run alpha up from the Thomson limit to q_max.
 
-    With steps=None the curve holds the integrator's accepted steps;
-    a positive steps count requests that many log-spaced samples instead.
+    The curve holds `steps` log-spaced samples from Q_START_GEV to q_max,
+    DEFAULT_SAMPLES when steps is None; each is the exact running.
     """
     if q_max <= 0:
         raise ValidationError("q_max must be positive")
@@ -163,26 +239,21 @@ def evolve_alpha(q_max: float, model: BetaModel, steps: int = None,
     if q_max <= Q_START_GEV:
         # below every mass the coupling is frozen at the boundary value
         return CouplingCurve(((q_max, alpha0),), model_id)
-    import numpy as np
-    from scipy.integrate import solve_ivp
-
-    def rhs(t, y):
-        return [beta_total(y[0], math.exp(t), model)]
-
-    t_span = (math.log(Q_START_GEV), math.log(q_max))
-    t_eval = None
-    if steps is not None:
-        if steps < 2:
-            raise ValidationError("steps must be at least 2")
-        t_eval = np.linspace(t_span[0], t_span[1], steps)
-    sol = solve_ivp(rhs, t_span, [alpha0], method="RK45",
-                    rtol=rtol, atol=atol, t_eval=t_eval)
-    if not sol.success:
-        raise NumericsError(f"evolution failed: {sol.message}")
-    samples = tuple(
-        (math.exp(t), float(a)) for t, a in zip(sol.t, sol.y[0])
-    )
-    return CouplingCurve(samples, model_id)
+    grid = _log_grid(Q_START_GEV, q_max,
+                    DEFAULT_SAMPLES if steps is None else steps)
+    terms = [(float(sp.charge_weight), sp.mass,
+              loop_integral(Q_START_GEV / sp.mass)) for sp in model.table]
+    samples = []
+    for q in grid:
+        fall = _QED_SLOPE * sum(w * (loop_integral(q / m) - h0)
+                                for w, m, h0 in terms)
+        denom = 1.0 - alpha0 * fall
+        if denom <= 0.0:
+            raise NumericsError(
+                f"1/alpha reaches zero below Q = {q:.6g} GeV (Landau pole)"
+            )
+        samples.append((q, alpha0 / denom))
+    return CouplingCurve(tuple(samples), model_id)
 
 
 def landau_solution(q: float, m: float, alpha0: float) -> float:
@@ -198,56 +269,56 @@ def landau_solution(q: float, m: float, alpha0: float) -> float:
     return alpha0 / denom
 
 
-def _scaled_table(table: ParticleTable, scale: float) -> ParticleTable:
-    light = {"u", "d", "s"}
-    species = tuple(
-        replace(sp, mass=sp.mass * scale) if sp.name in light else sp
-        for sp in table
-    )
-    return ParticleTable(species)
-
-
 def fit_light_quarks(model: BetaModel, target_inverse_alpha: float,
                      constants: PhysicalConstants = DEFAULT_CONSTANTS
                      ) -> FitResult:
     """Fit a common scale on the three light-quark masses.
 
-    One-dimensional bracketed search so that 1/alpha at the Z mass matches
-    the target; leptons and heavy quarks stay fixed. Inverse alpha at M_Z
-    grows monotonically with the scale (heavier quarks run less).
+    1/alpha at the Z mass matches the target; leptons and heavy quarks
+    stay fixed. With u = ln(scale), 1/alpha(M_Z) rises with u at the exact
+    rate (2/3 pi) sum_{u,d,s} N_c Q_f^2 [h(M_Z/sm) - h(Q_0/sm)] > 0
+    (heavier quarks run less), so Newton's method in u on the scale
+    bracket [1e-3, 1e3] finds the one root. `iterations` counts the
+    evaluations of 1/alpha(M_Z).
     """
-    from scipy.optimize import brentq
+    q_z = constants.m_z
+    light, heavy = [], []
+    for sp in model.table:
+        group = light if sp.name in ("u", "d", "s") else heavy
+        group.append((float(sp.charge_weight), sp.mass))
+    fixed = 1.0 / constants.alpha - _QED_SLOPE * sum(
+        w * (loop_integral(q_z / m) - loop_integral(Q_START_GEV / m))
+        for w, m in heavy)
+    evaluations = 0
 
-    alpha0 = constants.alpha
-    q_max = constants.m_z
-    evaluations = [0]
+    def inverse_alpha(u):
+        # 1/alpha(M_Z) and its u-derivative with the light masses scaled
+        nonlocal evaluations
+        evaluations += 1
+        scale = math.exp(u)
+        value, slope = fixed, 0.0
+        for w, m in light:
+            x_z, x_0 = q_z / (scale * m), Q_START_GEV / (scale * m)
+            value -= _QED_SLOPE * w * (loop_integral(x_z)
+                                       - loop_integral(x_0))
+            slope += _QED_SLOPE * w * (_loop_shape(x_z) - _loop_shape(x_0))
+        return value, slope
 
-    def inverse_alpha(scale):
-        evaluations[0] += 1
-        scaled = BetaModel(_scaled_table(model.table, scale),
-                           model.crossover_ratio)
-        return 1.0 / _final_alpha(q_max, scaled, alpha0)
+    def residual(u):
+        value, slope = inverse_alpha(u)
+        return value - target_inverse_alpha, slope
 
-    lo_u, hi_u = -3.0, 3.0   # log10 of the scale bracket
-    ia_lo = inverse_alpha(10.0 ** lo_u)
-    ia_hi = inverse_alpha(10.0 ** hi_u)
+    lo_u, hi_u = math.log(1e-3), math.log(1e3)
+    ia_lo = inverse_alpha(lo_u)[0]
+    ia_hi = inverse_alpha(hi_u)[0]
     if not ia_lo <= target_inverse_alpha <= ia_hi:
         raise NumericsError(
             f"target 1/alpha = {target_inverse_alpha} outside the reachable "
             f"range [{ia_lo:.6f}, {ia_hi:.6f}] for light-quark scales in "
             "[1e-3, 1e3]"
         )
-
-    def residual(u):
-        return inverse_alpha(10.0 ** u) - target_inverse_alpha
-
-    u = brentq(residual, lo_u, hi_u, xtol=1e-5)
-    scale = 10.0 ** u
-    achieved = inverse_alpha(scale)
-    if abs(achieved - target_inverse_alpha) > 1e-3:
-        raise NumericsError(
-            f"fit stalled: achieved {achieved:.6f} vs target "
-            f"{target_inverse_alpha:.6f}"
-        )
-    return FitResult(scale_factor=scale, achieved_inverse_alpha=achieved,
-                     iterations=evaluations[0])
+    u = (lo_u if ia_lo == target_inverse_alpha
+         else _increasing_root(residual, lo_u, hi_u))
+    return FitResult(scale_factor=math.exp(u),
+                     achieved_inverse_alpha=inverse_alpha(u)[0],
+                     iterations=evaluations)

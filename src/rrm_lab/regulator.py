@@ -15,7 +15,9 @@ the logarithm is taken on the principal branch, ln M^2 = ln|M^2| + i*pi.
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import NumericsError, ValidationError
@@ -108,14 +110,94 @@ def quartic_integral_value(i: RegulatedQuarticIntegral) -> complex:
     return KAPPA * bracket
 
 
+# Gauss-Kronrod 10/21 rule as in QUADPACK's qk21 (Piessens et al. 1983):
+# Kronrod abscissae on [0, 1] in descending order, the odd positions being
+# the 10-point Gauss nodes, then the centre; the weights follow the same
+# order, and _GAUSS_WEIGHTS belong to the Gauss nodes _KRONROD_NODES[1::2].
+_KRONROD_NODES = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_KRONROD_WEIGHTS = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_GAUSS_WEIGHTS = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
+
+
+def _kronrod_panel(f, a: float, b: float):
+    """(integral, error estimate) of f on [a, b] by the 21-point rule.
+
+    Sums in qk21's order and estimates the error the way it does: the
+    Kronrod-Gauss difference, scaled by the spread of f about its mean
+    (resasc), and never below 50 eps times the integral of |f|.
+    """
+    centre = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    f_centre = f(centre)
+    gauss = 0.0
+    kronrod = _KRONROD_WEIGHTS[10] * f_centre
+    abs_sum = abs(kronrod)
+    pairs = [None] * 10
+    for j in (*range(1, 10, 2), *range(0, 10, 2)):
+        offset = half * _KRONROD_NODES[j]
+        f_lo, f_hi = f(centre - offset), f(centre + offset)
+        pairs[j] = (f_lo, f_hi)
+        if j % 2:
+            gauss += _GAUSS_WEIGHTS[j // 2] * (f_lo + f_hi)
+        kronrod += _KRONROD_WEIGHTS[j] * (f_lo + f_hi)
+        abs_sum += _KRONROD_WEIGHTS[j] * (abs(f_lo) + abs(f_hi))
+    mean = 0.5 * kronrod
+    spread = _KRONROD_WEIGHTS[10] * abs(f_centre - mean)
+    for j in range(10):
+        f_lo, f_hi = pairs[j]
+        spread += _KRONROD_WEIGHTS[j] * (abs(f_lo - mean) + abs(f_hi - mean))
+    result = kronrod * half
+    abs_sum *= half
+    spread *= half
+    error = abs((kronrod - gauss) * half)
+    if spread != 0.0 and error != 0.0:
+        error = spread * min(1.0, (200.0 * error / spread) ** 1.5)
+    if abs_sum > _TINY / (50.0 * _EPS):
+        error = max(50.0 * _EPS * abs_sum, error)
+    return result, error
+
+
 def _radial_quadrature(integrand, m_sq: float, spec: QuadratureSpec) -> float:
     """Integrate integrand(k) over k in [0, inf) via k = sqrt(M^2) tan(theta).
 
-    The compact image [0, pi/2) keeps the tail exact and lets quad meet
-    tight tolerances in a handful of panels.
+    The compact image [0, pi/2) keeps the tail exact. Globally adaptive:
+    the panel with the largest error estimate is halved until the summed
+    estimate meets the tolerance; each panel costs 21 evaluations, and
+    running out of spec.max_evals first is a NumericsError. One panel
+    converges for the oracle integrands at every M^2 tried.
     """
-    from scipy.integrate import quad
-
     scale = math.sqrt(m_sq)
 
     def mapped(theta):
@@ -124,20 +206,23 @@ def _radial_quadrature(integrand, m_sq: float, spec: QuadratureSpec) -> float:
         # dk = scale * sec^2(theta) dtheta
         return integrand(k) * scale * (1.0 + t * t)
 
-    limit = max(1, spec.max_evals // 21)   # 21-point panels inside quad
-    value, abserr, info = quad(
-        mapped, 0.0, 0.5 * math.pi,
-        epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        limit=limit, full_output=1,
-    )[:3]
-    if abserr > max(spec.abs_tol, spec.rel_tol * abs(value)) * 10.0:
-        raise NumericsError(
-            f"quadrature failed to converge: estimated error {abserr:.3e}"
-        )
-    if info["neval"] > spec.max_evals:
-        raise NumericsError(
-            f"quadrature exceeded {spec.max_evals} evaluations"
-        )
+    value, error = _kronrod_panel(mapped, 0.0, 0.5 * math.pi)
+    panels = [(-error, 0.0, 0.5 * math.pi, value)]
+    evals = 21
+    while error > max(spec.abs_tol, spec.rel_tol * abs(value)):
+        if evals + 42 > spec.max_evals:
+            raise NumericsError(
+                f"quadrature failed to converge in {spec.max_evals} "
+                f"evaluations: estimated error {error:.3e}"
+            )
+        _, a, b, _ = heapq.heappop(panels)
+        mid = 0.5 * (a + b)
+        for lo, hi in ((a, mid), (mid, b)):
+            part, part_err = _kronrod_panel(mapped, lo, hi)
+            heapq.heappush(panels, (-part_err, lo, hi, part))
+        evals += 42
+        value = math.fsum(p[3] for p in panels)
+        error = math.fsum(-p[0] for p in panels)
     return value
 
 

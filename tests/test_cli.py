@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,20 +178,44 @@ def test_selfenergy_zeta_scheme_filter():
 
 
 def test_closed_form_command_loads_no_numpy_or_scipy():
-    # numpy and scipy are imported only inside the quadrature, ODE and fit
-    # functions; a module-level import anywhere in the package would put
-    # their ~0.9 s load back on every CLI process
-    code = ("import sys, rrm_lab.cli; "
-            "code = rrm_lab.cli.main(['selfenergy', 'zeta', '--Z', '1', "
-            "'--n', '4', '2', '1', '--scheme', 'all']); "
-            "heavy = {m.partition('.')[0] for m in sys.modules} "
-            "& {'numpy', 'scipy'}; "
-            "print(code, sorted(heavy), file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-c", code],
+    # the package has no runtime dependencies: run every golden case, which
+    # covers every leaf of build_parser() in every format, in one process
+    # and check that neither module was ever imported
+    code = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from rrm_lab import cli
+from test_golden import INDEX, _leaves
+
+ran = set()
+for case in INDEX.values():
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(case["argv"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code == case["exit"], case
+    ran.add(tuple(case["argv"][:2]))
+missing = sorted({path for path, _ in _leaves(cli.build_parser())} - ran)
+heavy = {m.partition(".")[0] for m in sys.modules} & {"numpy", "scipy"}
+print(len(INDEX), missing, sorted(heavy))
+"""
+    tests = str(Path(__file__).resolve().parent)
+    proc = subprocess.run([sys.executable, "-c", code, tests],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == "0 []"
-    assert "zeta<S>" in proc.stdout
+    assert proc.stdout.strip() == "90 [] []"
+
+
+def test_qcd_run_blow_up_is_one_line_exit_3():
+    proc = run_cli("qcd", "run", "--flavor", "c", "--qmin", "0.5",
+                   "--anchor", "0.2")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert "exceeded 4 pi" in lines[0] and "last valid Q = " in lines[0]
 
 
 def test_json_outputs_parse():

@@ -41,6 +41,7 @@ from rrm_lab.qcd import alpha_s_lambda, alpha_s_mu, lambda_qcd, make_scheme
 from rrm_lab.qed import (
     BetaModel,
     beta_single,
+    beta_total,
     evolve_alpha,
     landau_solution,
 )
@@ -178,13 +179,47 @@ def test_asymptotic_massless_limit():
         assert 0.999 <= ratio <= 1.0
 
 
-def test_ode_tolerance_halving():
+def _quadrature_running(grid, slope, inverse_start):
+    """1/alpha at each grid point from an independent scipy quad of
+    d(1/alpha)/d ln Q = slope(Q), panel by panel from grid[0] on."""
+    from scipy.integrate import quad
+
+    def integrand(t):
+        return slope(math.exp(t))
+
+    inverse = [inverse_start]
+    for q_a, q_b in zip(grid, grid[1:]):
+        part, _ = quad(integrand, math.log(q_a), math.log(q_b),
+                       epsabs=0.0, epsrel=1e-13, limit=200)
+        inverse.append(inverse[-1] + part)
+    return inverse
+
+
+def test_running_matches_quadrature_of_beta():
+    # 1/alpha is linear in the integral of beta/alpha^2 = beta_total(1, Q)
     model = BetaModel(default_particle_table())
-    a = evolve_alpha(C.m_z, model, constants=C, rtol=1e-8)
-    b = evolve_alpha(C.m_z, model, constants=C, rtol=5e-9)
-    inv_a = 1.0 / a.samples[-1][1]
-    inv_b = 1.0 / b.samples[-1][1]
-    assert abs(inv_a - inv_b) < 1e-4
+    for q_max, steps in ((C.m_z, None), (1e4, 40)):
+        curve = evolve_alpha(q_max, model, steps=steps, constants=C)
+        grid = [q for q, _ in curve.samples]
+        ref = _quadrature_running(grid, lambda q: -beta_total(1.0, q, model),
+                                  1.0 / C.alpha)
+        for (q, a), inv in zip(curve.samples, ref):
+            assert 1.0 / a == pytest.approx(inv, rel=1e-9), q
+
+
+def test_massive_running_matches_quadrature_of_beta():
+    from rrm_lab.qcd import MassiveQcdModel, _massive_beta, \
+        evolve_alpha_s_massive
+    table = default_particle_table()
+    quarks = table.quarks()
+    for anchor, q_min in ((0.118, 0.3), (0.112, 2.0)):
+        model = MassiveQcdModel(table=table, alpha_s_mz=anchor, flavor="c")
+        res = evolve_alpha_s_massive(model, q_min, constants=C)
+        down = [q for q, _ in reversed(res.curve.samples)]
+        ref = _quadrature_running(
+            down, lambda q: -_massive_beta(1.0, q, quarks), 1.0 / anchor)
+        for (q, a), inv in zip(reversed(res.curve.samples), ref):
+            assert 1.0 / a == pytest.approx(inv, rel=1e-9), q
 
 
 def test_ode_bounded_by_landau():

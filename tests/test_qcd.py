@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 
 from rrm_lab.constants import DEFAULT_CONSTANTS, default_particle_table
@@ -141,6 +144,34 @@ def test_massive_blow_up_guard():
     with pytest.raises(NumericsError) as err:
         evolve_alpha_s_massive(default_massive_model(), 0.15, constants=C)
     assert "0.181" in str(err.value)
+
+
+def test_blow_up_reports_the_4pi_crossing():
+    # the reported Q is where alpha_s reaches 4 pi: checked against an
+    # independent quadrature of the beta from the Z mass down to it
+    from scipy.integrate import quad
+
+    from rrm_lab.qcd import _massive_beta
+    quarks = default_particle_table().quarks()
+    for anchor, flavor, q_min in ((0.118, "u", 0.15), (0.2, "c", 0.5),
+                                  (0.118, "b", 1e-300)):
+        model = MassiveQcdModel(table=default_particle_table(),
+                                alpha_s_mz=anchor, flavor=flavor)
+        with pytest.raises(NumericsError) as err:
+            evolve_alpha_s_massive(model, q_min, constants=C)
+        last_q = float(re.search(r"last valid Q = (\S+) GeV",
+                                 str(err.value)).group(1))
+        assert q_min < last_q < C.m_z_strong
+        rise, _ = quad(lambda t: -_massive_beta(1.0, math.exp(t), quarks),
+                       math.log(C.m_z_strong), math.log(last_q),
+                       epsabs=0.0, epsrel=1e-13, limit=200)
+        assert 1.0 / anchor + rise == pytest.approx(1.0 / (4.0 * math.pi),
+                                                    rel=1e-9)
+        # just above the crossing the run goes through
+        res = evolve_alpha_s_massive(model, last_q * (1.0 + 1e-9), steps=2,
+                                     constants=C)
+        assert res.curve.samples[0][1] == pytest.approx(4.0 * math.pi,
+                                                        rel=1e-7)
 
 
 def test_threshold_exact_products():

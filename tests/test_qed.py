@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import pytest
 
 from rrm_lab.constants import DEFAULT_CONSTANTS, default_particle_table
@@ -12,6 +14,7 @@ from rrm_lab.qed import (
     evolve_alpha,
     fit_light_quarks,
     landau_solution,
+    loop_integral,
 )
 
 C = DEFAULT_CONSTANTS
@@ -125,3 +128,82 @@ def test_model_validation():
 def test_evolve_rejects_bad_qmax():
     with pytest.raises(ValidationError):
         evolve_alpha(-1.0, default_model(), constants=C)
+
+
+def _loop_integral_mp(x):
+    """H(x) from its closed form at 80 digits, where the cancellation near
+    x -> 0 (4/x^2 against the asinh term) costs nothing."""
+    with mpmath.workdps(80):
+        x = mpmath.mpf(x)
+        inv_sq = 4 / x ** 2
+        return float((-mpmath.mpf(5) / 3 + inv_sq + 2 * (1 - inv_sq / 2)
+                      * mpmath.sqrt(1 + inv_sq) * mpmath.asinh(x / 2)) / 2)
+
+
+def test_loop_integral_matches_mpmath():
+    # both sides of the series switch (x = 1) and of the loop shape's
+    # (x = 0.5), the small-x series deep down, the asinh form up to 1e8
+    rng = random.Random(11)
+    xs = [1e-6, 1e-3, 0.3, 0.4999999, 0.5, 0.5000001, 0.9999999, 1.0,
+          1.0000001, 2.0, 91.1876 / 0.000511, 1e8]
+    xs += [10.0 ** rng.uniform(-6.0, 8.0) for _ in range(200)]
+    for x in xs:
+        assert loop_integral(x) == pytest.approx(_loop_integral_mp(x),
+                                                 rel=1e-14), x
+
+
+def test_loop_integral_limits():
+    assert loop_integral(0.0) == 0.0
+    assert loop_integral(1e-4) == pytest.approx(1e-9, rel=1e-8)
+    assert loop_integral(1e8) == pytest.approx(math.log(1e8) - 5.0 / 6.0,
+                                               rel=1e-15)
+    with pytest.raises(ValidationError):
+        loop_integral(-1.0)
+    with pytest.raises(ValidationError):
+        loop_integral(math.nan)
+
+
+def test_fit_slope_matches_difference_quotient():
+    # the fit's Newton slope is exact: compare 1/alpha(M_Z) over a small
+    # step in ln(scale) with the light-quark h-sum it uses
+    from dataclasses import replace
+
+    from rrm_lab.constants import ParticleTable
+    from rrm_lab.qed import Q_START_GEV, _loop_shape
+    light = ("u", "d", "s")
+    u, du = math.log(5.5), 1e-5
+
+    def inverse_alpha(scale):
+        table = ParticleTable(tuple(
+            replace(sp, mass=sp.mass * scale) if sp.name in light else sp
+            for sp in default_particle_table()))
+        return 1.0 / evolve_alpha(C.m_z, BetaModel(table), steps=2,
+                                  constants=C).samples[-1][1]
+
+    quotient = (inverse_alpha(math.exp(u + du))
+                - inverse_alpha(math.exp(u - du))) / (2 * du)
+    slope = sum(
+        (2.0 / (3.0 * math.pi)) * float(sp.charge_weight)
+        * (_loop_shape(C.m_z / (5.5 * sp.mass))
+           - _loop_shape(Q_START_GEV / (5.5 * sp.mass)))
+        for sp in default_particle_table() if sp.name in light)
+    assert quotient == pytest.approx(slope, rel=1e-6)
+    fit = fit_light_quarks(default_model(), 128.89, C)
+    assert fit.achieved_inverse_alpha == pytest.approx(128.89, rel=1e-13)
+    assert inverse_alpha(fit.scale_factor) == pytest.approx(128.89,
+                                                            rel=1e-13)
+
+
+def test_evolve_alpha_default_grid_keeps_both_ends():
+    curve = evolve_alpha(C.m_z, default_model(), constants=C)
+    qs = [q for q, _ in curve.samples]
+    assert len(qs) == 101
+    assert qs[0] == 1e-6 and qs[-1] == C.m_z
+    ratios = [b / a for a, b in zip(qs, qs[1:])]
+    assert max(ratios) == pytest.approx(min(ratios), rel=1e-12)
+
+
+def test_evolve_alpha_landau_pole_reported():
+    # 1/alpha reaches zero near 1e35 GeV for the full table
+    with pytest.raises(NumericsError):
+        evolve_alpha(1e40, default_model(), constants=C)

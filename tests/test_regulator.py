@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from rrm_lab.regulator import (
     QuadratureSpec,
     RegulatedLogIntegral,
     RegulatedQuarticIntegral,
+    _radial_quadrature,
     log_derivative_closed_form,
     log_derivative_oracle,
     log_integral_value,
@@ -107,6 +109,29 @@ def test_quadrature_failure_reported():
     starved = QuadratureSpec(rel_tol=1e-16, abs_tol=1e-300, max_evals=21)
     with pytest.raises(NumericsError):
         log_derivative_oracle(1.0, starved)
+
+
+def test_kronrod_oracle_on_random_masses():
+    # one 21-point panel meets the default 1e-10 tolerance at every M^2
+    rng = random.Random(2024)
+    for _ in range(200):
+        m_sq = 10.0 ** rng.uniform(-6.0, 6.0)
+        assert log_derivative_oracle(m_sq) == pytest.approx(
+            log_derivative_closed_form(m_sq), rel=1e-14)
+        assert quartic_third_derivative_oracle(m_sq) == pytest.approx(
+            quartic_third_derivative_closed_form(m_sq), rel=1e-14)
+
+
+def test_adaptive_panels_and_evaluation_budget():
+    # a narrow bump at k = 3 needs bisection; its integral is sqrt(pi)/10
+    def bump(k):
+        return math.exp(-100.0 * (k - 3.0) ** 2)
+
+    value = _radial_quadrature(bump, 1.0, QuadratureSpec())
+    assert value == pytest.approx(math.sqrt(math.pi) / 10.0, rel=1e-10)
+    with pytest.raises(NumericsError) as err:
+        _radial_quadrature(bump, 1.0, QuadratureSpec(max_evals=63))
+    assert "63 evaluations" in str(err.value)
 
 
 def test_oracle_rejects_nonpositive_mass():
