@@ -397,10 +397,6 @@ def _leaf(sub, name, handler):
     return p
 
 
-# the runnings are closed forms; --rtol stays valid so older invocations run
-_EXACT_RTOL = "accepted and ignored: the running is exact"
-
-
 def build_parser() -> _Parser:
     root = _Parser(prog="rrm-lab",
                    description="Regulated loop integrals and their physics")
@@ -433,7 +429,6 @@ def build_parser() -> _Parser:
     p = _leaf(fam, "run", _cmd_qed_run)
     p.add_argument("--qmax", type=_finite, required=True)
     p.add_argument("--table", help="particle table override")
-    p.add_argument("--rtol", type=_finite, default=1e-10, help=_EXACT_RTOL)
     p.add_argument("--steps", type=int)
     p = _leaf(fam, "fit", _cmd_qed_fit)
     p.add_argument("--target", type=_finite, required=True)
@@ -459,7 +454,6 @@ def build_parser() -> _Parser:
     p.add_argument("--table", help="particle table override")
     p.add_argument("--anchor", type=_finite, default=0.118,
                    help="alpha_s at the Z mass")
-    p.add_argument("--rtol", type=_finite, default=1e-10, help=_EXACT_RTOL)
     p.add_argument("--steps", type=int)
     p = _leaf(fam, "threshold", _cmd_qcd_threshold)
     p.add_argument("--lambda", dest="lambda_gev", type=_finite, required=True)

@@ -163,13 +163,6 @@ def lambda_renormalized(p: PotentialParams) -> float:
     return p.lam * (1.0 + 9.0 * p.lam / (2.0 * FOUR_PI_SQ))
 
 
-def mass_ratio_identity(m_sigma: float, phi1: float) -> float:
-    """The coupling recovered from two mass scales: 3 m_sigma^2 / phi1^2."""
-    if phi1 <= 0:
-        raise ValidationError("phi1 must be positive")
-    return 3.0 * m_sigma * m_sigma / (phi1 * phi1)
-
-
 def sector_report(phi: float, p: PotentialParams,
                   c: SchemeConstants) -> SectorReport:
     return SectorReport(

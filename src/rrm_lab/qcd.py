@@ -37,16 +37,17 @@ ALPHA_S_GUARD = 4.0 * math.pi
 @dataclass(frozen=True)
 class QcdScheme:
     n_f: int
-    beta0: float
     lambda_gev: float
 
     def __post_init__(self):
         if not 3 <= self.n_f <= 6:
             raise ValidationError("n_f must lie in [3, 6]")
-        if self.beta0 <= 0:
-            raise ValidationError("beta0 must be positive")
         if self.lambda_gev <= 0:
             raise ValidationError("lambda must be positive")
+
+    @property
+    def beta0(self) -> float:
+        return beta0_for(self.n_f)
 
 
 def beta0_for(n_f: int) -> float:
@@ -56,7 +57,7 @@ def beta0_for(n_f: int) -> float:
 
 
 def make_scheme(n_f: int, lambda_gev: float) -> QcdScheme:
-    return QcdScheme(n_f=n_f, beta0=beta0_for(n_f), lambda_gev=lambda_gev)
+    return QcdScheme(n_f=n_f, lambda_gev=lambda_gev)
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,6 @@ def lambda_qcd(alpha_s_mz: float, n_f: int,
     """Divergence scale of the one-loop coupling anchored at the Z mass."""
     if not 0.0 < alpha_s_mz < 1.0:
         raise ValidationError("alpha_s(M_Z) must lie in (0, 1)")
-    if not 3 <= n_f <= 6:
-        raise ValidationError("n_f must lie in [3, 6]")
     return constants.m_z_strong * math.exp(
         -2.0 * math.pi / (alpha_s_mz * beta0_for(n_f))
     )
@@ -118,8 +117,6 @@ def alpha_s_mu(q: float, mu: float, alpha_mu: float, n_f: int) -> float:
         raise ValidationError("Q and mu must be positive")
     if alpha_mu <= 0:
         raise ValidationError("alpha_s(mu) must be positive")
-    if not 3 <= n_f <= 6:
-        raise ValidationError("n_f must lie in [3, 6]")
     denom = 1.0 + alpha_mu * (beta0_for(n_f) / (2.0 * math.pi)) \
         * math.log(q / mu)
     if denom <= 0.0:

@@ -30,13 +30,14 @@ Q_START_GEV = 1e-6
 # samples on a curve when no step count is given: log-spaced, both ends kept
 DEFAULT_SAMPLES = 101
 
-# fermion-loop shape switches from the log form to its series expansion
-# here; both are the same analytic function, the series is just stable
-_SERIES_X = 0.5
+# h and H switch from their Taylor series to their closed forms here: H's
+# closed form cancels to ~6e-14 relative near x = 0.5 and 4e-15 at x = 1,
+# h's to ~6e-15 just above 1, while below 1 both series stay within 1e-15
+# in <= 26 terms
+_SERIES_X = 1.0
 
-# the loop function's closed form cancels to ~6e-14 relative near x = 0.5
-# and 4e-15 at x = 1; below 1 its series stays within 1e-15 in <= 26 terms
-_INTEGRAL_SERIES_X = 1.0
+# below this x = Q/m, beta_single keeps only the leading x^2/5 of h
+_LEADING_X = 0.01
 
 # 1/alpha falls by this much per e-fold of Q per unit N_c Q_f^2 far above
 # every threshold
@@ -47,18 +48,9 @@ _MAX_ROOT_STEPS = 100
 
 @dataclass(frozen=True)
 class BetaModel:
-    """The particle table that drives the beta function.
-
-    crossover_ratio is where beta_single switches to its leading x^2/5
-    term; the curves use the exact loop function and do not depend on it.
-    """
+    """The particle table that drives the beta function."""
 
     table: ParticleTable
-    crossover_ratio: float = 0.01
-
-    def __post_init__(self):
-        if not 0.0 < self.crossover_ratio <= 0.1:
-            raise ValidationError("crossover_ratio must lie in (0, 0.1]")
 
 
 @dataclass(frozen=True)
@@ -98,34 +90,35 @@ class FitResult:
             raise ValidationError("scale_factor must be positive")
 
 
-def _loop_shape(x: float) -> float:
-    """Fermion-loop factor h(x), x = Q/m: h -> x^2/5 small x, -> 1 large x.
+def _loop_series(x: float, integrated: bool) -> float:
+    """The Taylor series h(x) = sum c_n x^(2n), or H = sum c_n x^(2n)/(2n)
+    when integrated; c_1 = 1/5 and c_{n+1} = -c_n (n+2) / (2 (2n+5)), so
+    the terms shrink by about x^2/4."""
+    x_sq = x * x
+    c = 0.2
+    power = x_sq
+    total = 0.0
+    for n in range(1, 60):
+        term = c * power / (2 * n) if integrated else c * power
+        total += term
+        if abs(term) <= 1e-17 * total:
+            break
+        c *= -(n + 2) / (2.0 * (2 * n + 5))
+        power *= x_sq
+    return total
 
-    For x < 0.5 the equivalent series in powers of x^2/s^2 (s^2 = x^2 + 4)
-    is used; the log form loses all significance there to cancellation.
+
+def _loop_shape(x: float) -> float:
+    """Fermion-loop factor h(x) = x dH/dx, x = Q/m: h -> x^2/5 for small x
+    and -> 1 for large x. Above x = 1 it is
+
+        h = 1 - (6/x^2) [1 - 4 asinh(x/2) / (x sqrt(x^2 + 4))];
+
+    below, that form cancels and the Taylor series is summed instead.
     """
-    if x == 0.0:
-        return 0.0
-    s_sq = x * x + 4.0
     if x < _SERIES_X:
-        # h = 1 - 6/s^2 + sum_{k>=1} 24 x^(2k-2) / ((2k+1) s^(2k+2))
-        total = 1.0 - 6.0 / s_sq
-        x_pow = 1.0                      # x^(2k-2)
-        s_pow = s_sq * s_sq              # s^(2k+2)
-        k = 1
-        while True:
-            term = 24.0 * x_pow / ((2 * k + 1) * s_pow)
-            total += term
-            if term < 1e-18:
-                break
-            x_pow *= x * x
-            s_pow *= s_sq
-            k += 1
-            if k > 200:
-                raise NumericsError("loop-shape series failed to converge")
-        return total
-    s = math.sqrt(s_sq)
-    g = 1.0 + (2.0 / (x * s)) * math.log((s - x) / (s + x))
+        return _loop_series(x, integrated=False)
+    g = 1.0 - 4.0 * math.asinh(0.5 * x) / (x * math.sqrt(x * x + 4.0))
     return 1.0 - (6.0 / (x * x)) * g
 
 
@@ -136,44 +129,30 @@ def loop_integral(x: float) -> float:
 
         H = (1/2) [-5/3 + 4/x^2 + 2 (1 - 2/x^2) sqrt(1 + 4/x^2) asinh(x/2)];
 
-    below, that form cancels, so the integrated Taylor series of h(x) =
-    sum c_n x^(2n) is summed instead, H = sum c_n x^(2n)/(2n) with c_1 = 1/5
-    and c_{n+1} = -c_n (n+2) / (2 (2n+5)); its terms shrink by about x^2/4.
+    below, that form cancels, so the Taylor series of h is integrated term
+    by term instead.
     """
     if not x >= 0.0:
         raise ValidationError("loop_integral needs x >= 0")
-    if x < _INTEGRAL_SERIES_X:
-        x_sq = x * x
-        c = 0.2
-        power = x_sq
-        total = 0.0
-        for n in range(1, 60):
-            term = c * power / (2 * n)
-            total += term
-            if abs(term) <= 1e-17 * total:
-                break
-            c *= -(n + 2) / (2.0 * (2 * n + 5))
-            power *= x_sq
-        return total
+    if x < _SERIES_X:
+        return _loop_series(x, integrated=True)
     inv_sq = 4.0 / (x * x)
     return 0.5 * (-5.0 / 3.0 + inv_sq + 2.0 * (1.0 - 0.5 * inv_sq)
                   * math.sqrt(1.0 + inv_sq) * math.asinh(0.5 * x))
 
 
-def beta_single(alpha: float, q: float, m: float,
-                crossover_ratio: float = 0.01) -> float:
-    """One-species beta; series form below the crossover, closed form above."""
+def beta_single(alpha: float, q: float, m: float) -> float:
+    """One-species beta, (2 alpha^2 / 3 pi) h(Q/m); below x = 0.01 only the
+    leading x^2/5 of h is kept."""
     if m <= 0:
         raise ValidationError("fermion mass must be positive")
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
     if q < 0:
         raise ValidationError("Q must be nonnegative")
-    if q == 0.0:
-        return 0.0
     x = q / m
     scale = 2.0 * alpha * alpha / (3.0 * math.pi)
-    if x < crossover_ratio:
+    if x < _LEADING_X:
         return scale * x * x / 5.0
     return scale * _loop_shape(x)
 
@@ -183,8 +162,7 @@ def beta_total(alpha: float, q: float, model: BetaModel) -> float:
     total = 0.0
     for species in model.table:
         weight = float(species.charge_weight)
-        total += weight * beta_single(alpha, q, species.mass,
-                                      model.crossover_ratio)
+        total += weight * beta_single(alpha, q, species.mass)
     return total
 
 

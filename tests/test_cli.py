@@ -6,6 +6,10 @@ from pathlib import Path
 import pytest
 
 from conftest import CLI, cli_csv, cli_json, run_cli
+from test_golden import INDEX, _leaves
+
+from rrm_lab import cli
+from rrm_lab.constants import DEFAULT_CONSTANTS
 
 
 def test_lambda_human_format():
@@ -63,6 +67,8 @@ def test_usage_exit_codes():
                    "5").returncode == 64
     assert run_cli("qcd", "lambda").returncode == 64
     assert run_cli("constants", "show", "--quiet").returncode == 64
+    assert run_cli("qed", "run", "--qmax", "10", "--rtol",
+                   "1e-10").returncode == 64
 
 
 def test_determinism_byte_identical():
@@ -206,6 +212,39 @@ print(len(INDEX), missing, sorted(heavy))
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "90 [] []"
+
+
+class _ReadLog:
+    """Parsed arguments that record which of them a handler reads."""
+
+    def __init__(self, values):
+        self._values = values
+        self.read = set()
+
+    def __getattr__(self, name):
+        if name not in self._values:
+            raise AttributeError(name)
+        self.read.add(name)
+        return self._values[name]
+
+
+def test_every_flag_is_read():
+    # a flag no handler reads parses and then does nothing; run every
+    # successful golden case and collect what each leaf's handler reads
+    parser = cli.build_parser()
+    read = {}
+    for case in INDEX.values():
+        if case["exit"] != 0:
+            continue
+        args = _ReadLog(vars(parser.parse_args(case["argv"])))
+        args.handler(args, DEFAULT_CONSTANTS)
+        read.setdefault(tuple(case["argv"][:2]), set()).update(args.read)
+    unread = []
+    for path, leaf in _leaves(parser):
+        declared = {a.dest for a in leaf._actions} - {"help", "config", "out"}
+        unread += [f"{' '.join(path)}: {dest}"
+                   for dest in sorted(declared - read.get(path, set()))]
+    assert not unread, unread
 
 
 def test_qcd_run_blow_up_is_one_line_exit_3():

@@ -40,6 +40,7 @@ from rrm_lab.potential import (
 from rrm_lab.qcd import alpha_s_lambda, alpha_s_mu, lambda_qcd, make_scheme
 from rrm_lab.qed import (
     BetaModel,
+    _loop_shape,
     beta_single,
     beta_total,
     evolve_alpha,
@@ -164,12 +165,11 @@ M_E_GEV = C.electron_mass * 1e-3
 
 
 def test_series_vs_closed_form_window():
-    # same loop shape from both branches on the overlap window
-    for x in (1e-3, 3e-3, 1e-2):
-        q = x * M_E_GEV
-        series = beta_single(ALPHA0, q, M_E_GEV, crossover_ratio=0.05)
-        closed = beta_single(ALPHA0, q, M_E_GEV, crossover_ratio=1e-7)
-        assert series == pytest.approx(closed, rel=1e-3)
+    # below x = 0.01 beta_single keeps the leading x^2/5 of the loop shape
+    scale = 2.0 * ALPHA0 ** 2 / (3.0 * math.pi)
+    for x in (1e-3, 3e-3, 0.01 * (1.0 - 1e-9)):
+        leading = beta_single(ALPHA0, x * M_E_GEV, M_E_GEV)
+        assert leading == pytest.approx(scale * _loop_shape(x), rel=1e-3)
 
 
 def test_asymptotic_massless_limit():

@@ -9,6 +9,7 @@ from rrm_lab.errors import NumericsError, ValidationError
 from rrm_lab.qed import (
     BetaModel,
     CouplingCurve,
+    _loop_shape,
     beta_single,
     beta_total,
     evolve_alpha,
@@ -51,7 +52,7 @@ def test_beta_total_frozen_at_start():
 def test_series_matches_closed_form_at_crossover():
     # both branches evaluated at the same x straddle the switch smoothly
     m = default_model()
-    x = m.crossover_ratio
+    x = 0.01
     lo = beta_total(ALPHA0, M_E * x * (1.0 - 1e-9), m)
     hi = beta_total(ALPHA0, M_E * x * (1.0 + 1e-9), m)
     assert lo == pytest.approx(hi, rel=1e-4)
@@ -118,13 +119,6 @@ def test_fit_unreachable_target():
     assert "range" in str(err.value)
 
 
-def test_model_validation():
-    with pytest.raises(ValidationError):
-        BetaModel(default_particle_table(), crossover_ratio=0.0)
-    with pytest.raises(ValidationError):
-        BetaModel(default_particle_table(), crossover_ratio=0.2)
-
-
 def test_evolve_rejects_bad_qmax():
     with pytest.raises(ValidationError):
         evolve_alpha(-1.0, default_model(), constants=C)
@@ -140,9 +134,17 @@ def _loop_integral_mp(x):
                       * mpmath.sqrt(1 + inv_sq) * mpmath.asinh(x / 2)) / 2)
 
 
+def _loop_shape_mp(x):
+    """h(x) from its closed form at 80 digits."""
+    with mpmath.workdps(80):
+        x = mpmath.mpf(x)
+        return float(1 - (6 / x ** 2) * (1 - 4 * mpmath.asinh(x / 2)
+                                         / (x * mpmath.sqrt(x ** 2 + 4))))
+
+
 def test_loop_integral_matches_mpmath():
-    # both sides of the series switch (x = 1) and of the loop shape's
-    # (x = 0.5), the small-x series deep down, the asinh form up to 1e8
+    # h and H on both sides of their series switch (x = 1) and around 0.5,
+    # the small-x series deep down, the closed forms up to 1e8
     rng = random.Random(11)
     xs = [1e-6, 1e-3, 0.3, 0.4999999, 0.5, 0.5000001, 0.9999999, 1.0,
           1.0000001, 2.0, 91.1876 / 0.000511, 1e8]
@@ -150,6 +152,8 @@ def test_loop_integral_matches_mpmath():
     for x in xs:
         assert loop_integral(x) == pytest.approx(_loop_integral_mp(x),
                                                  rel=1e-14), x
+        assert _loop_shape(x) == pytest.approx(_loop_shape_mp(x),
+                                               rel=2e-14), x
 
 
 def test_loop_integral_limits():
@@ -169,7 +173,7 @@ def test_fit_slope_matches_difference_quotient():
     from dataclasses import replace
 
     from rrm_lab.constants import ParticleTable
-    from rrm_lab.qed import Q_START_GEV, _loop_shape
+    from rrm_lab.qed import Q_START_GEV
     light = ("u", "d", "s")
     u, du = math.log(5.5), 1e-5
 
