@@ -1,7 +1,11 @@
 """Command-line interface: one subcommand family per module.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure or I/O
-failure, 64 usage error (a non-finite number in a float flag is one).
+Exit codes: 0 success, 2 validation failure, 3 numerical failure, I/O
+failure or any other exception (one stderr line, no traceback), 64 usage
+error (a non-finite number in a float flag is one).
+
+Each handler imports its own physics module when it runs, so a command
+loads only its family: building the parser imports none of them.
 
 Each handler builds a record (dict) or a list of records and hands it to
 ``_emit``, the one renderer. json prints every float at full ``repr``
@@ -16,17 +20,9 @@ fixtures). Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
-from . import fixtures as fixtures_mod
-from . import lamb as lamb_mod
-from . import potential as pot_mod
-from . import qcd as qcd_mod
-from . import qed as qed_mod
-from . import regulator as reg_mod
-from . import self_energy as se_mod
 from .constants import (
     DEFAULT_CONSTANTS,
     default_particle_table,
@@ -79,6 +75,7 @@ def _emit(fmt: str, data, table=None, rows=None) -> str:
     document is not the list of records those print.
     """
     if fmt == "json":
+        import json
         return json.dumps(data, indent=2, default=_complex_json) + "\n"
     if fmt == "table" and table is not None:
         return table(data)
@@ -112,6 +109,7 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------- regulator
 
 def _cmd_regulator_value(args, constants):
+    from . import regulator as reg_mod
     records = []
     for m_sq in args.msq:
         if args.family == "log":
@@ -132,6 +130,7 @@ def _cmd_regulator_value(args, constants):
 
 
 def _cmd_regulator_oracle(args, constants):
+    from . import regulator as reg_mod
     spec = reg_mod.QuadratureSpec(rel_tol=args.rtol, abs_tol=args.atol)
     records = []
     for m_sq in args.msq:
@@ -161,6 +160,7 @@ _SCHEME_FIELDS = {
 
 
 def _cmd_selfenergy_zeta(args, constants):
+    from . import self_energy as se_mod
     schemes = tuple(_SCHEME_FIELDS) if args.scheme == "all" else (args.scheme,)
     records = []
     for n in args.n:
@@ -187,6 +187,7 @@ def _cmd_selfenergy_zeta(args, constants):
 
 
 def _cmd_selfenergy_onshell(args, constants):
+    from . import self_energy as se_mod
     m = args.m if args.m is not None else constants.electron_mass
     fix = se_mod.fix_on_shell(m, constants)
     # reevaluate the increment instead of echoing the constructed zero
@@ -206,6 +207,7 @@ def _load_table(args):
 
 
 def _cmd_qed_run(args, constants):
+    from . import qed as qed_mod
     model = qed_mod.BetaModel(_load_table(args))
     curve = qed_mod.evolve_alpha(args.qmax, model, steps=args.steps,
                                  constants=constants)
@@ -216,6 +218,7 @@ def _cmd_qed_run(args, constants):
 
 
 def _cmd_qed_fit(args, constants):
+    from . import qed as qed_mod
     model = qed_mod.BetaModel(_load_table(args))
     fit = qed_mod.fit_light_quarks(model, args.target, constants)
     return _emit(args.format, vars(fit))
@@ -224,12 +227,14 @@ def _cmd_qed_fit(args, constants):
 # ---------------------------------------------------------------------- qcd
 
 def _cmd_qcd_lambda(args, constants):
+    from . import qcd as qcd_mod
     value = qcd_mod.lambda_qcd(args.alpha, args.nf, constants)
     return _emit(args.format, {"lambda_gev": value},
                  table=lambda r: f"{r['lambda_gev']:.3g} GeV\n")
 
 
 def _cmd_qcd_alpha_s_lambda(args, constants):
+    from . import qcd as qcd_mod
     scheme = qcd_mod.make_scheme(args.nf, args.lambda_gev)
     value = qcd_mod.alpha_s_lambda(args.q, scheme)
     return _emit(args.format, {"alpha_s": value},
@@ -237,12 +242,14 @@ def _cmd_qcd_alpha_s_lambda(args, constants):
 
 
 def _cmd_qcd_alpha_s_mu(args, constants):
+    from . import qcd as qcd_mod
     value = qcd_mod.alpha_s_mu(args.q, args.mu, args.alpha_mu, args.nf)
     return _emit(args.format, {"alpha_s": value},
                  table=lambda r: f"{r['alpha_s']:.10g}\n")
 
 
 def _cmd_qcd_run(args, constants):
+    from . import qcd as qcd_mod
     model = qcd_mod.MassiveQcdModel(
         table=_load_table(args), alpha_s_mz=args.anchor, flavor=args.flavor
     )
@@ -259,6 +266,7 @@ def _cmd_qcd_run(args, constants):
 
 
 def _cmd_qcd_threshold(args, constants):
+    from . import qcd as qcd_mod
     est = qcd_mod.hadronization_threshold(args.lambda_gev, args.alphamax)
     return _emit(args.format, {
         "lambda_gev": est.lambda_i, "alpha_max": est.alpha_max,
@@ -269,11 +277,13 @@ def _cmd_qcd_threshold(args, constants):
 # ------------------------------------------------------------------- effpot
 
 def _effpot_scheme(args):
+    from . import potential as pot_mod
     p = pot_mod.PotentialParams(sigma=args.sigma, lam=args.lam)
     return p, pot_mod.scheme_for(args.sector, p)
 
 
 def _cmd_effpot_table(args, constants):
+    from . import potential as pot_mod
     broken, origin = map(vars, pot_mod.two_phase_table(*_effpot_scheme(args)))
     pairs = [(q, complex(b), complex(origin[q])) for q, b in broken.items()]
     rows = [{"quantity": q, "broken_re": b.real, "broken_im": b.imag,
@@ -290,6 +300,7 @@ def _cmd_effpot_table(args, constants):
 
 
 def _potential_rows(phis, p, c):
+    from . import potential as pot_mod
     rows = []
     for phi in phis:
         v = pot_mod.one_loop_potential(phi, p, c)
@@ -312,6 +323,7 @@ def _cmd_effpot_scan(args, constants):
 
 
 def _cmd_effpot_derivs(args, constants):
+    from . import potential as pot_mod
     p, c = _effpot_scheme(args)
     return _emit(args.format,
                  [vars(pot_mod.sector_report(phi, p, c)) for phi in args.phi])
@@ -320,16 +332,20 @@ def _cmd_effpot_derivs(args, constants):
 # --------------------------------------------------------------------- lamb
 
 def _cmd_lamb_2s2p(args, constants):
+    from . import lamb as lamb_mod
     convention = "standard_2l" if args.convention == "2l" else "alt_3l"
     mode = "frozen_constant" if args.b2r == "frozen" else "formula"
     mu = lamb_mod.reduced_mass(constants.electron_mass,
                                constants.proton_mass)
     coeffs = lamb_mod.radiative_coefficients(mu, constants.g_factor, mode,
                                              constants)
+    # the flags default to None so that building the parser needs no lamb
+    vp = lamb_mod.DEFAULT_VP_MHZ if args.vp is None else args.vp
+    nuclear = (lamb_mod.DEFAULT_NUCLEAR_MHZ if args.nuclear is None
+               else args.nuclear)
     report = lamb_mod.lamb_2s_2p(
-        mu_obs=mu, b2r=coeffs.b2r, vp_mhz=args.vp,
-        nuclear_mhz=args.nuclear, convention=convention,
-        constants=constants,
+        mu_obs=mu, b2r=coeffs.b2r, vp_mhz=vp, nuclear_mhz=nuclear,
+        convention=convention, constants=constants,
     )
 
     def table(data):
@@ -340,6 +356,7 @@ def _cmd_lamb_2s2p(args, constants):
 
 
 def _cmd_lamb_rde(args, constants):
+    from . import lamb as lamb_mod
     freq = lamb_mod.rde_transition_1s2s(args.atom, constants)
     return _emit(args.format, {"atom": args.atom,
                                "transition": args.transition,
@@ -348,6 +365,7 @@ def _cmd_lamb_rde(args, constants):
 
 
 def _cmd_lamb_vp(args, constants):
+    from . import lamb as lamb_mod
     if args.mass == "electron":
         mass = constants.electron_mass
     else:
@@ -367,6 +385,7 @@ def _cmd_constants_show(args, constants):
 # fixtures are display strings: csv and table both print the plain text
 
 def _cmd_fixtures_show(args, constants):
+    from . import fixtures as fixtures_mod
     text = fixtures_mod.show(args.key)
     if args.format == "json":
         return _emit("json", {"key": args.key, "text": text})
@@ -374,6 +393,7 @@ def _cmd_fixtures_show(args, constants):
 
 
 def _cmd_fixtures_list(args, constants):
+    from . import fixtures as fixtures_mod
     table = fixtures_mod.load_fixtures()
     if args.format == "json":
         return _emit("json", table)
@@ -387,67 +407,68 @@ def _family(sub, name, help):
     return p.add_subparsers(dest="verb", parser_class=_Parser, required=True)
 
 
-def _leaf(sub, name, handler):
-    p = sub.add_parser(name)
-    p.add_argument("--config", help="key=value constants override file")
-    p.add_argument("--format", choices=("table", "csv", "json"),
-                   default="table")
-    p.add_argument("--out", help="write output to this path")
-    p.set_defaults(handler=handler)
-    return p
-
-
 def build_parser() -> _Parser:
     root = _Parser(prog="rrm-lab",
                    description="Regulated loop integrals and their physics")
     sub = root.add_subparsers(dest="command", parser_class=_Parser,
                               required=True)
+    # the flags every leaf takes, declared once and copied into each leaf
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key=value constants override file")
+    common.add_argument("--format", choices=("table", "csv", "json"),
+                        default="table")
+    common.add_argument("--out", help="write output to this path")
+
+    def leaf(fam, name, handler):
+        p = fam.add_parser(name, parents=[common])
+        p.set_defaults(handler=handler)
+        return p
 
     fam = _family(sub, "regulator", "regulated integrals and oracles")
-    p = _leaf(fam, "value", _cmd_regulator_value)
+    p = leaf(fam, "value", _cmd_regulator_value)
     p.add_argument("--family", choices=("log", "quartic"), required=True)
     p.add_argument("--msq", type=_finite, nargs="+", required=True)
     p.add_argument("--c1", type=_finite, default=0.0)
     p.add_argument("--c2", type=_finite, default=0.0)
     p.add_argument("--c3", type=_finite, default=0.0)
-    p = _leaf(fam, "oracle", _cmd_regulator_oracle)
+    p = leaf(fam, "oracle", _cmd_regulator_oracle)
     p.add_argument("--family", choices=("log", "quartic"), required=True)
     p.add_argument("--msq", type=_finite, nargs="+", required=True)
     p.add_argument("--rtol", type=_finite, default=1e-10)
     p.add_argument("--atol", type=_finite, default=1e-12)
 
     fam = _family(sub, "selfenergy", "self-energy and zeta schemes")
-    p = _leaf(fam, "zeta", _cmd_selfenergy_zeta)
+    p = leaf(fam, "zeta", _cmd_selfenergy_zeta)
     p.add_argument("--Z", dest="z", type=int, required=True)
     p.add_argument("--n", type=int, nargs="+", required=True)
     p.add_argument("--scheme", choices=("S", "V", "S+V", "SV", "all"),
                    default="all")
-    p = _leaf(fam, "onshell", _cmd_selfenergy_onshell)
+    p = leaf(fam, "onshell", _cmd_selfenergy_onshell)
     p.add_argument("--m", type=_finite, help="mass in MeV")
 
     fam = _family(sub, "qed", "electromagnetic running coupling")
-    p = _leaf(fam, "run", _cmd_qed_run)
+    p = leaf(fam, "run", _cmd_qed_run)
     p.add_argument("--qmax", type=_finite, required=True)
     p.add_argument("--table", help="particle table override")
     p.add_argument("--steps", type=int)
-    p = _leaf(fam, "fit", _cmd_qed_fit)
+    p = leaf(fam, "fit", _cmd_qed_fit)
     p.add_argument("--target", type=_finite, required=True)
     p.add_argument("--table", help="particle table override")
 
     fam = _family(sub, "qcd", "strong running coupling")
-    p = _leaf(fam, "lambda", _cmd_qcd_lambda)
+    p = leaf(fam, "lambda", _cmd_qcd_lambda)
     p.add_argument("--alpha", type=_finite, required=True)
     p.add_argument("--nf", type=int, required=True)
-    p = _leaf(fam, "alpha-s-lambda", _cmd_qcd_alpha_s_lambda)
+    p = leaf(fam, "alpha-s-lambda", _cmd_qcd_alpha_s_lambda)
     p.add_argument("--q", type=_finite, required=True)
     p.add_argument("--lambda", dest="lambda_gev", type=_finite, required=True)
     p.add_argument("--nf", type=int, required=True)
-    p = _leaf(fam, "alpha-s-mu", _cmd_qcd_alpha_s_mu)
+    p = leaf(fam, "alpha-s-mu", _cmd_qcd_alpha_s_mu)
     p.add_argument("--q", type=_finite, required=True)
     p.add_argument("--mu", type=_finite, required=True)
     p.add_argument("--alpha-mu", dest="alpha_mu", type=_finite, required=True)
     p.add_argument("--nf", type=int, required=True)
-    p = _leaf(fam, "run", _cmd_qcd_run)
+    p = leaf(fam, "run", _cmd_qcd_run)
     p.add_argument("--flavor", choices=("u", "d", "s", "c", "b"),
                    required=True)
     p.add_argument("--qmin", type=_finite, required=True)
@@ -455,7 +476,7 @@ def build_parser() -> _Parser:
     p.add_argument("--anchor", type=_finite, default=0.118,
                    help="alpha_s at the Z mass")
     p.add_argument("--steps", type=int)
-    p = _leaf(fam, "threshold", _cmd_qcd_threshold)
+    p = leaf(fam, "threshold", _cmd_qcd_threshold)
     p.add_argument("--lambda", dest="lambda_gev", type=_finite, required=True)
     p.add_argument("--alphamax", type=_finite, required=True)
 
@@ -464,7 +485,7 @@ def build_parser() -> _Parser:
                           ("value", _cmd_effpot_value),
                           ("scan", _cmd_effpot_scan),
                           ("derivs", _cmd_effpot_derivs)):
-        p = _leaf(fam, verb, handler)
+        p = leaf(fam, verb, handler)
         p.add_argument("--sigma", type=_finite, required=True)
         p.add_argument("--lambda", dest="lam", type=_finite, required=True)
         p.add_argument("--sector", choices=("ssb", "symmetric"),
@@ -476,28 +497,27 @@ def build_parser() -> _Parser:
             p.add_argument("--n", type=int, required=True)
 
     fam = _family(sub, "lamb", "hydrogen transitions")
-    p = _leaf(fam, "2s2p", _cmd_lamb_2s2p)
+    p = leaf(fam, "2s2p", _cmd_lamb_2s2p)
     p.add_argument("--convention", choices=("2l", "3l"), default="2l")
     p.add_argument("--b2r", choices=("formula", "frozen"), default="frozen")
-    p.add_argument("--vp", type=_finite, default=lamb_mod.DEFAULT_VP_MHZ,
+    p.add_argument("--vp", type=_finite,
                    help="vacuum-polarization term in MHz")
     p.add_argument("--nuclear", type=_finite,
-                   default=lamb_mod.DEFAULT_NUCLEAR_MHZ,
                    help="nuclear-size term in MHz")
-    p = _leaf(fam, "rde", _cmd_lamb_rde)
+    p = leaf(fam, "rde", _cmd_lamb_rde)
     p.add_argument("--atom", choices=("H", "D"), required=True)
     p.add_argument("--transition", choices=("1s2s",), required=True)
-    p = _leaf(fam, "vp", _cmd_lamb_vp)
+    p = leaf(fam, "vp", _cmd_lamb_vp)
     p.add_argument("--mass", choices=("electron", "reduced"),
                    default="electron")
 
     fam = _family(sub, "constants", "pinned physical constants")
-    _leaf(fam, "show", _cmd_constants_show)
+    leaf(fam, "show", _cmd_constants_show)
 
     fam = _family(sub, "fixtures", "read-only reference values")
-    p = _leaf(fam, "show", _cmd_fixtures_show)
+    p = leaf(fam, "show", _cmd_fixtures_show)
     p.add_argument("key")
-    _leaf(fam, "list", _cmd_fixtures_list)
+    leaf(fam, "list", _cmd_fixtures_list)
 
     return root
 
@@ -523,6 +543,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a defect, or a family module that will not load
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

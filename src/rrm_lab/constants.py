@@ -38,6 +38,10 @@ class PhysicalConstants:
     g_factor: float = 2.0 * 1.0011596522    # electron gyromagnetic ratio
 
     def __post_init__(self):
+        # nan passes every `x <= 0` check below, and inf every upper bound
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValidationError(f"{f.name} must be finite")
         if self.ev_to_hz <= 0:
             raise ValidationError("ev_to_hz must be positive")
         for name in ("electron_mass", "proton_mass", "deuteron_mass",

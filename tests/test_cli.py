@@ -214,6 +214,116 @@ print(len(INDEX), missing, sorted(heavy))
     assert proc.stdout.strip() == "90 [] []"
 
 
+# the rrm_lab modules a command may load besides cli, constants and errors:
+# its own family's, and nothing of the other families
+FAMILY_MODULES = {
+    "regulator": {"regulator"},
+    "selfenergy": {"self_energy"},
+    "qed": {"qed"},
+    "qcd": {"qcd", "qed"},
+    "effpot": {"potential", "regulator"},
+    "lamb": {"lamb"},
+    "constants": set(),
+    "fixtures": {"fixtures"},
+}
+
+
+def _loaded_after(code, *args):
+    # run code in a fresh interpreter; it prints a json document last
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "family", sorted({path[0] for path, _ in _leaves(cli.build_parser())})
+)
+def test_command_loads_only_its_family(family):
+    argv = next(case["argv"] for _, case in sorted(INDEX.items())
+                if case["argv"][0] == family and case["exit"] == 0)
+    code = """
+import contextlib, io, json, sys
+from rrm_lab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("rrm_lab."))]))
+"""
+    exit_code, loaded = _loaded_after(code, json.dumps(argv))
+    assert exit_code == 0
+    own = {"cli", "constants", "errors"} | FAMILY_MODULES[family]
+    assert loaded == sorted(f"rrm_lab.{m}" for m in own)
+
+
+def test_package_import_loads_no_submodule():
+    loaded = _loaded_after(
+        "import json, sys, rrm_lab\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('rrm_lab.')"
+        "]))"
+    )
+    assert loaded == []
+
+
+def test_every_export_is_its_home_module_object():
+    import importlib
+    import types
+
+    import rrm_lab
+    assert set(rrm_lab.__all__) <= set(dir(rrm_lab))
+    for name in rrm_lab.__all__:
+        home = importlib.import_module(f"rrm_lab.{rrm_lab._HOME[name]}")
+        value = getattr(rrm_lab, name)
+        assert value is getattr(home, name), name
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ == home.__name__, name
+    with pytest.raises(AttributeError):
+        rrm_lab.no_such_name
+
+
+def test_first_read_binds_every_name_of_the_module():
+    # a name first read while something has patched its module must not keep
+    # the patch: the first read of any qed name binds all of them
+    loaded = _loaded_after(
+        "import json, rrm_lab\n"
+        "from rrm_lab import qed\n"
+        "original = qed.fit_light_quarks\n"
+        "rrm_lab.evolve_alpha\n"
+        "qed.fit_light_quarks = None\n"
+        "print(json.dumps(rrm_lab.fit_light_quarks is original))"
+    )
+    assert loaded is True
+
+
+def test_unexpected_exception_is_one_line_exit_3(monkeypatch, capsys):
+    def broken(args, constants):
+        raise RuntimeError("handler defect")
+    monkeypatch.setattr(cli, "_cmd_constants_show", broken)
+    assert cli.main(["constants", "show"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: RuntimeError: handler defect\n"
+
+
+def test_family_that_fails_to_import_is_exit_3(monkeypatch, capsys):
+    import rrm_lab
+    monkeypatch.delattr(rrm_lab, "qcd", raising=False)
+    monkeypatch.setitem(sys.modules, "rrm_lab.qcd", None)
+    assert cli.main(["qcd", "lambda", "--alpha", "0.1176", "--nf", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "ModuleNotFoundError" in err
+    assert "Traceback" not in err
+
+
+def test_interrupt_is_not_caught(monkeypatch):
+    def interrupted(args, constants):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "_cmd_constants_show", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["constants", "show"])
+
+
 class _ReadLog:
     """Parsed arguments that record which of them a handler reads."""
 

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from rrm_lab.constants import (
     DEFAULT_CONSTANTS,
     FermionSpecies,
     ParticleTable,
+    PhysicalConstants,
     default_particle_table,
     energy_to_frequency,
     load_config,
@@ -49,6 +52,17 @@ def test_config_rejects_bad_value(tmp_path):
     path.write_text("alpha = banana\n")
     with pytest.raises(ValidationError):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name", [f.name for f in dataclasses.fields(PhysicalConstants)]
+)
+def test_constants_reject_non_finite(name, value):
+    # nan passed every positivity check, and alpha, m_z, sin2_theta_w and
+    # electron_mass each took inf as well
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        PhysicalConstants(**{name: value})
 
 
 def test_default_table_species():
