@@ -47,9 +47,9 @@ _EXPORTS = {
         "make_scheme",
     ),
     "qed": (
-        "BetaModel", "CouplingCurve", "FitResult", "beta_single",
-        "beta_total", "evolve_alpha", "fit_light_quarks",
-        "landau_solution", "loop_integral",
+        "BetaModel", "CouplingCurve", "FitResult", "beta_total",
+        "evolve_alpha", "fit_light_quarks", "landau_solution",
+        "loop_integral",
     ),
     "regulator": (
         "KAPPA", "QuadratureSpec", "RegulatedLogIntegral",
@@ -61,8 +61,7 @@ _EXPORTS = {
     "self_energy": (
         "MassRenormalization", "SigmaCoefficients", "ZetaRow",
         "delta_mu_off_shell", "fix_on_shell", "mass_increment",
-        "sigma_coefficients", "zeta_row", "zeta_self_energy", "zeta_table",
-        "zeta_virial",
+        "sigma_coefficients", "zeta_row", "zeta_table",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -8,9 +8,9 @@ tests can vary alpha or the gyromagnetic factor without cross-talk.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from importlib import resources
 
 from .errors import ValidationError
 
@@ -100,8 +100,10 @@ class FermionSpecies:
     def __post_init__(self):
         if not self.name:
             raise ValidationError("species with empty name")
-        if self.mass <= 0:
-            raise ValidationError(f"species '{self.name}': mass must be positive")
+        if not 0.0 < self.mass < math.inf:
+            raise ValidationError(
+                f"species '{self.name}': mass must be positive and finite"
+            )
         if self.charge not in ALLOWED_CHARGES:
             raise ValidationError(
                 f"species '{self.name}': charge {self.charge} not in "
@@ -198,9 +200,11 @@ def load_particle_table(text: str, source: str = "<string>") -> ParticleTable:
         try:
             mass = float(mass_text)
         except ValueError:
+            mass = math.nan
+        if not math.isfinite(mass):
             raise ValidationError(
                 f"{source}:{lineno}: bad mass '{mass_text}' for '{name}'"
-            ) from None
+            )
         lineno, charge_text = block["charge"]
         try:
             charge = Fraction(charge_text)
@@ -231,11 +235,15 @@ def serialize_particle_table(table: ParticleTable) -> str:
     return "\n".join(blocks)
 
 
+def read_data(name: str) -> str:
+    """A file of the package's data/, read through the module loader."""
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    return __loader__.get_data(path).decode("utf-8")
+
+
 def default_particle_table() -> ParticleTable:
-    text = (resources.files("rrm_lab") / "data" / "particles.txt").read_text(
-        encoding="utf-8"
-    )
-    return load_particle_table(text, source="particles.txt")
+    return load_particle_table(read_data("particles.txt"),
+                               source="particles.txt")
 
 
 def load_particle_table_file(path) -> ParticleTable:

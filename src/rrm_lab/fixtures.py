@@ -6,17 +6,14 @@ out of them for delta reporting.
 
 from __future__ import annotations
 
-from importlib import resources
-
+from .constants import read_data
 from .errors import ValidationError
 
 
 def load_fixtures() -> dict:
-    text = (resources.files("rrm_lab") / "data" / "fixtures.txt").read_text(
-        encoding="utf-8"
-    )
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_data("fixtures.txt").splitlines(),
+                                 start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

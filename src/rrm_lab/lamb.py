@@ -35,15 +35,15 @@ class AtomConfig:
     j: float
 
     def __post_init__(self):
-        if self.z < 1:
+        if not 1 <= self.z < math.inf:
             raise ValidationError("Z must be at least 1")
-        if self.nuclear_mass <= 0:
-            raise ValidationError("nuclear mass must be positive")
-        if self.n < 1:
+        if not 0.0 < self.nuclear_mass < math.inf:
+            raise ValidationError("nuclear mass must be positive and finite")
+        if not 1 <= self.n < math.inf:
             raise ValidationError("n must be at least 1")
         if not 0 <= self.l < self.n:
             raise ValidationError("l must satisfy 0 <= l < n")
-        if self.j <= 0 or abs(abs(self.j - self.l) - 0.5) > 1e-12:
+        if not (self.j > 0 and abs(abs(self.j - self.l) - 0.5) <= 1e-12):
             raise ValidationError("j must be l +/- 1/2 and positive")
 
 
@@ -69,16 +69,18 @@ class TransitionReport:
 
 
 def reduced_mass(m_e: float, m_n: float) -> float:
-    if m_e <= 0 or m_n <= 0:
-        raise ValidationError("masses must be positive")
+    if not (0.0 < m_e < math.inf and 0.0 < m_n < math.inf):
+        raise ValidationError("masses must be positive and finite")
     return m_e * m_n / (m_e + m_n)
 
 
 def bohr_binding(z: int, n: int, mu: float,
                  constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Nonrelativistic binding energy Z^2 alpha^2 mu / 2 n^2 (positive)."""
-    if n < 1:
+    if not 1 <= n < math.inf:
         raise ValidationError("n must be at least 1")
+    if not 0.0 < mu < math.inf:
+        raise ValidationError("mass must be positive and finite")
     alpha = constants.alpha
     return (z * z) * alpha * alpha * mu / (2.0 * n * n)
 
@@ -136,8 +138,8 @@ def radiative_coefficients(mu: float, g: float, mode: str,
     and a frozen reference constant; they differ by 1.5 percent and are
     never silently mixed.
     """
-    if mu <= 0:
-        raise ValidationError("mass must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValidationError("mass must be positive and finite")
     if mode not in COEFFICIENT_MODES:
         raise ValidationError(f"mode must be one of {COEFFICIENT_MODES}")
     alpha = constants.alpha
@@ -159,15 +161,6 @@ def radiative_coefficients(mu: float, g: float, mode: str,
     )
 
 
-def observed_mass(mu: float, beta: float) -> float:
-    """Mass after the radiative shift; always below the input mass."""
-    if mu <= 0:
-        raise ValidationError("mass must be positive")
-    if beta <= 0:
-        raise ValidationError("beta must be positive")
-    return mu / (1.0 + beta)
-
-
 def _bracket(n: int, l: int, convention: str) -> float:
     if convention == "standard_2l":
         den = 2 * l + 1
@@ -187,8 +180,8 @@ def p4_level_shift(cfg: AtomConfig, mu_obs: float, b2r: float,
     shift = [8n/(2l+1) - 3] b2r (Z alpha)^4 mu_obs^4 / n^4, with the
     alternative 3l+1 denominator kept selectable.
     """
-    if mu_obs <= 0:
-        raise ValidationError("mass must be positive")
+    if not 0.0 < mu_obs < math.inf:
+        raise ValidationError("mass must be positive and finite")
     alpha = constants.alpha
     z_alpha = cfg.z * alpha
     return _bracket(cfg.n, cfg.l, convention) * b2r \
@@ -239,8 +232,8 @@ def uehling_2s_shift(mass_mev: float,
     Evaluated with the electron mass this gives -27.13 MHz, the default
     vacuum-polarization input of the 2S-2P assembly.
     """
-    if mass_mev <= 0:
-        raise ValidationError("mass must be positive")
+    if not 0.0 < mass_mev < math.inf:
+        raise ValidationError("mass must be positive and finite")
     alpha = constants.alpha
     shift_mev = -alpha ** 5 * mass_mev / (30.0 * math.pi)
     return _mev_to_hz(shift_mev, constants) / 1e6

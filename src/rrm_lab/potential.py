@@ -41,10 +41,10 @@ class PotentialParams:
     lam: float       # dimensionless quartic coupling
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValidationError("sigma must be positive")
-        if self.lam <= 0:
-            raise ValidationError("lambda must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValidationError("sigma must be positive and finite")
+        if not 0.0 < self.lam < math.inf:
+            raise ValidationError("lambda must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ truncating to an active-flavor count:
     Q d alpha_s / dQ = -(alpha_s^2 / 2 pi) [ 11 - (2/3) sum_q F(Q, m_q) ]
 
 with F the same fermion-loop shape as in the electromagnetic beta
-(F -> 1 for Q >> m, F -> Q^2/5m^2 for Q << m). The probed-flavor label on
-a curve is metadata; the beta always sums all quarks.
+(F -> 1 for Q >> m, F -> Q^2/5m^2 for Q << m). The model's probed flavor
+is only checked to be a quark; the beta always sums all quarks.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class QcdScheme:
     def __post_init__(self):
         if not 3 <= self.n_f <= 6:
             raise ValidationError("n_f must lie in [3, 6]")
-        if self.lambda_gev <= 0:
-            raise ValidationError("lambda must be positive")
+        if not 0.0 < self.lambda_gev < math.inf:
+            raise ValidationError("lambda must be positive and finite")
 
     @property
     def beta0(self) -> float:
@@ -103,6 +103,8 @@ def lambda_qcd(alpha_s_mz: float, n_f: int,
 
 def alpha_s_lambda(q: float, scheme: QcdScheme) -> float:
     """One-loop coupling in the scale form, 2 pi / (beta0 ln(Q/Lambda))."""
+    if not math.isfinite(q):
+        raise ValidationError("Q must be finite")
     if q <= scheme.lambda_gev:
         raise NumericsError(
             f"coupling diverges at and below Lambda = "
@@ -113,10 +115,10 @@ def alpha_s_lambda(q: float, scheme: QcdScheme) -> float:
 
 def alpha_s_mu(q: float, mu: float, alpha_mu: float, n_f: int) -> float:
     """One-loop coupling anchored at (mu, alpha_mu)."""
-    if q <= 0 or mu <= 0:
-        raise ValidationError("Q and mu must be positive")
-    if alpha_mu <= 0:
-        raise ValidationError("alpha_s(mu) must be positive")
+    if not (0.0 < q < math.inf and 0.0 < mu < math.inf):
+        raise ValidationError("Q and mu must be positive and finite")
+    if not 0.0 < alpha_mu < math.inf:
+        raise ValidationError("alpha_s(mu) must be positive and finite")
     denom = 1.0 + alpha_mu * (beta0_for(n_f) / (2.0 * math.pi)) \
         * math.log(q / mu)
     if denom <= 0.0:
@@ -152,7 +154,7 @@ def evolve_alpha_s_massive(model: MassiveQcdModel, q_min: float,
     11 - (2/3) sum_q h is at least 7, so alpha_s falls monotonically in Q
     and lambda_peak/alpha_max are always None.
     """
-    if q_min <= 0:
+    if not q_min > 0:
         raise ValidationError("q_min must be positive")
     m_z = constants.m_z_strong
     if q_min >= m_z:
@@ -184,8 +186,8 @@ def evolve_alpha_s_massive(model: MassiveQcdModel, q_min: float,
         )
     grid = _log_grid(q_min, m_z, DEFAULT_SAMPLES if steps is None else steps)
     samples = tuple((q, anchor / denominator(q)) for q in grid)
-    curve = CouplingCurve(samples, model_id=f"qcd-massive:{model.flavor}")
-    return MassiveEvolution(curve=curve, lambda_peak=None, alpha_max=None)
+    return MassiveEvolution(curve=CouplingCurve(samples), lambda_peak=None,
+                            alpha_max=None)
 
 
 def hadronization_threshold(lambda_i: float, alpha_max: float
@@ -195,8 +197,9 @@ def hadronization_threshold(lambda_i: float, alpha_max: float
     length = hbar c / Lambda in fm; energy = alpha_max * Lambda, both exact
     products of the inputs.
     """
-    if lambda_i <= 0 or alpha_max <= 0:
-        raise ValidationError("lambda_i and alpha_max must be positive")
+    if not (0.0 < lambda_i < math.inf and 0.0 < alpha_max < math.inf):
+        raise ValidationError(
+            "lambda_i and alpha_max must be positive and finite")
     return ThresholdEstimate(
         lambda_i=lambda_i,
         alpha_max=alpha_max,

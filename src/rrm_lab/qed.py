@@ -3,7 +3,7 @@
 A single fermion of mass m contributes a closed-form beta that vanishes
 like Q^2/m^2 far below threshold and saturates at 2 alpha^2 / 3 pi far
 above it. The full beta sums the contributions of the nine charged
-fermions with exact color/charge weights N_c Q_f^2.
+fermions with exact color/charge weights w_f = N_c Q_f^2.
 
 The running itself needs no integrator. d(1/alpha)/d ln Q is minus the
 loop shape h(Q/m) per unit weight, so integrating back once gives the
@@ -16,7 +16,6 @@ with the constant fixed at the Thomson limit Q_0 (Peskin & Schroeder 7.5).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -35,9 +34,6 @@ DEFAULT_SAMPLES = 101
 # h's to ~6e-15 just above 1, while below 1 both series stay within 1e-15
 # in <= 26 terms
 _SERIES_X = 1.0
-
-# below this x = Q/m, beta_single keeps only the leading x^2/5 of h
-_LEADING_X = 0.01
 
 # 1/alpha falls by this much per e-fold of Q per unit N_c Q_f^2 far above
 # every threshold
@@ -58,25 +54,11 @@ class CouplingCurve:
     """Monotone-Q samples of a running coupling."""
 
     samples: tuple       # ((q_gev, alpha), ...)
-    model_id: str
 
     def __post_init__(self):
         qs = [q for q, _ in self.samples]
         if any(b <= a for a, b in zip(qs, qs[1:])):
             raise ValidationError("curve Q values must be strictly increasing")
-
-    def alpha_at(self, q: float) -> float:
-        """Linear interpolation in ln Q between the bracketing samples."""
-        qs = [s[0] for s in self.samples]
-        if not qs[0] <= q <= qs[-1]:
-            raise ValidationError(
-                f"Q = {q} outside sampled range [{qs[0]}, {qs[-1]}]"
-            )
-        i = bisect.bisect_left(qs, q)
-        if qs[i] == q:
-            return self.samples[i][1]
-        (q0, a0), (q1, a1) = self.samples[i - 1], self.samples[i]
-        return a0 + (a1 - a0) * math.log(q / q0) / math.log(q1 / q0)
 
 
 @dataclass(frozen=True)
@@ -132,8 +114,8 @@ def loop_integral(x: float) -> float:
     below, that form cancels, so the Taylor series of h is integrated term
     by term instead.
     """
-    if not x >= 0.0:
-        raise ValidationError("loop_integral needs x >= 0")
+    if not 0.0 <= x < math.inf:
+        raise ValidationError("loop_integral needs finite x >= 0")
     if x < _SERIES_X:
         return _loop_series(x, integrated=True)
     inv_sq = 4.0 / (x * x)
@@ -141,29 +123,15 @@ def loop_integral(x: float) -> float:
                   * math.sqrt(1.0 + inv_sq) * math.asinh(0.5 * x))
 
 
-def beta_single(alpha: float, q: float, m: float) -> float:
-    """One-species beta, (2 alpha^2 / 3 pi) h(Q/m); below x = 0.01 only the
-    leading x^2/5 of h is kept."""
-    if m <= 0:
-        raise ValidationError("fermion mass must be positive")
-    if alpha <= 0:
-        raise ValidationError("alpha must be positive")
-    if q < 0:
-        raise ValidationError("Q must be nonnegative")
-    x = q / m
-    scale = 2.0 * alpha * alpha / (3.0 * math.pi)
-    if x < _LEADING_X:
-        return scale * x * x / 5.0
-    return scale * _loop_shape(x)
-
-
 def beta_total(alpha: float, q: float, model: BetaModel) -> float:
-    """Charge-weighted sum over the table: sum N_c Q_f^2 beta_single."""
-    total = 0.0
-    for species in model.table:
-        weight = float(species.charge_weight)
-        total += weight * beta_single(alpha, q, species.mass)
-    return total
+    """Q d alpha/dQ of the exact running: (2 alpha^2/3 pi) sum w_f h(Q/m_f)."""
+    if not 0.0 < alpha < math.inf:
+        raise ValidationError("alpha must be positive and finite")
+    if not 0.0 <= q < math.inf:
+        raise ValidationError("Q must be nonnegative and finite")
+    return _QED_SLOPE * alpha * alpha * sum(
+        float(sp.charge_weight) * _loop_shape(q / sp.mass)
+        for sp in model.table)
 
 
 def _log_grid(q_lo: float, q_hi: float, n: int) -> list:
@@ -210,13 +178,12 @@ def evolve_alpha(q_max: float, model: BetaModel, steps: int = None,
     The curve holds `steps` log-spaced samples from Q_START_GEV to q_max,
     DEFAULT_SAMPLES when steps is None; each is the exact running.
     """
-    if q_max <= 0:
-        raise ValidationError("q_max must be positive")
+    if not 0.0 < q_max < math.inf:
+        raise ValidationError("q_max must be positive and finite")
     alpha0 = constants.alpha
-    model_id = f"qed:{len(model.table)}species"
     if q_max <= Q_START_GEV:
         # below every mass the coupling is frozen at the boundary value
-        return CouplingCurve(((q_max, alpha0),), model_id)
+        return CouplingCurve(((q_max, alpha0),))
     grid = _log_grid(Q_START_GEV, q_max,
                     DEFAULT_SAMPLES if steps is None else steps)
     terms = [(float(sp.charge_weight), sp.mass,
@@ -231,13 +198,13 @@ def evolve_alpha(q_max: float, model: BetaModel, steps: int = None,
                 f"1/alpha reaches zero below Q = {q:.6g} GeV (Landau pole)"
             )
         samples.append((q, alpha0 / denom))
-    return CouplingCurve(tuple(samples), model_id)
+    return CouplingCurve(tuple(samples))
 
 
 def landau_solution(q: float, m: float, alpha0: float) -> float:
     """Massless one-loop closed form with its pole guarded."""
-    if q <= 0 or m <= 0 or alpha0 <= 0:
-        raise ValidationError("q, m, alpha0 must be positive")
+    if not all(0.0 < v < math.inf for v in (q, m, alpha0)):
+        raise ValidationError("q, m, alpha0 must be positive and finite")
     denom = 1.0 - (2.0 * alpha0 / (3.0 * math.pi)) * math.log(q / m)
     if denom <= 0.0:
         pole = m * math.exp(3.0 * math.pi / (2.0 * alpha0))

@@ -28,6 +28,8 @@ KAPPA = 1.0 / (2.0 * FOUR_PI_SQ)           # 1/(2 (4 pi)^2), quartic prefactor
 
 def principal_log_msq(m_sq: float) -> complex:
     """ln M^2 on the principal branch; M^2 = 0 is outside the domain."""
+    if not math.isfinite(m_sq):
+        raise ValidationError("mass-square must be finite")
     if m_sq == 0:
         raise ValidationError("mass-square must be nonzero")
     if m_sq > 0:
@@ -69,9 +71,11 @@ class QuadratureSpec:
     max_evals: int = 10000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValidationError("quadrature tolerances must be positive")
-        if self.max_evals < 21:
+        if not (0.0 < self.rel_tol < math.inf
+                and 0.0 < self.abs_tol < math.inf):
+            raise ValidationError(
+                "quadrature tolerances must be positive and finite")
+        if not 21 <= self.max_evals < math.inf:
             raise ValidationError("max_evals too small for one panel")
 
 
@@ -80,9 +84,9 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 def log_integral_value(i: RegulatedLogIntegral) -> complex:
     """Closed form (-i/(4 pi)^2) (ln M^2 + C1) for M^2 > 0."""
-    if i.m_sq <= 0:
+    if not 0.0 < i.m_sq < math.inf:
         raise ValidationError(
-            "log integral needs M^2 > 0; branch handling for negative "
+            "log integral needs finite M^2 > 0; branch handling for negative "
             "mass-square belongs to the consumer"
         )
     return -1j / FOUR_PI_SQ * (math.log(i.m_sq) + i.c1)
@@ -244,8 +248,8 @@ def log_derivative_oracle(m_sq: float,
     Evaluates 2 (2 pi^2 / (2 pi)^4) * int_0^inf k^3/(k^2+M^2)^3 dk and
     returns it; the closed form is 1/(16 pi^2 M^2).
     """
-    if m_sq <= 0:
-        raise ValidationError("oracle needs M^2 > 0")
+    if not 0.0 < m_sq < math.inf:
+        raise ValidationError("oracle needs finite M^2 > 0")
     return 2.0 * _euclidean_cube_integral(m_sq, spec)
 
 
@@ -256,18 +260,18 @@ def quartic_third_derivative_oracle(
     Evaluates the Euclidean integral int d^4k/(2 pi)^4 (k^2+M^2)^-3 as a
     radial quadrature; the closed form is 1/(2 (4 pi)^2 M^2).
     """
-    if m_sq <= 0:
-        raise ValidationError("oracle needs M^2 > 0")
+    if not 0.0 < m_sq < math.inf:
+        raise ValidationError("oracle needs finite M^2 > 0")
     return _euclidean_cube_integral(m_sq, spec)
 
 
 def log_derivative_closed_form(m_sq: float) -> float:
-    if m_sq <= 0:
-        raise ValidationError("closed form needs M^2 > 0")
+    if not 0.0 < m_sq < math.inf:
+        raise ValidationError("closed form needs finite M^2 > 0")
     return 1.0 / (16.0 * math.pi ** 2 * m_sq)
 
 
 def quartic_third_derivative_closed_form(m_sq: float) -> float:
-    if m_sq <= 0:
-        raise ValidationError("closed form needs M^2 > 0")
+    if not 0.0 < m_sq < math.inf:
+        raise ValidationError("closed form needs finite M^2 > 0")
     return 1.0 / (2.0 * FOUR_PI_SQ * m_sq)

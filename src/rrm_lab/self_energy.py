@@ -55,11 +55,11 @@ class ZetaRow:
 
 
 def _check_domain(p_sq: float, m: float, mu2: float):
-    if m <= 0:
-        raise ValidationError("mass must be positive")
-    if mu2 <= 0:
-        raise ValidationError("mu2 must be positive")
-    if p_sq <= 0:
+    if not 0.0 < m < math.inf:
+        raise ValidationError("mass must be positive and finite")
+    if not 0.0 < mu2 < math.inf:
+        raise ValidationError("mu2 must be positive and finite")
+    if not p_sq > 0:
         raise ValidationError("p^2 must be positive (bound-state region)")
     if p_sq > m * m:
         raise ValidationError(
@@ -121,8 +121,8 @@ def fix_on_shell(m: float,
     The zero of 5 - 6 ln(m/mu2) is mu2 = m e^(-5/6), and the wave-function
     factor follows as Z2 = 1/(1 + alpha/3 pi).
     """
-    if m <= 0:
-        raise ValidationError("mass must be positive")
+    if not 0.0 < m < math.inf:
+        raise ValidationError("mass must be positive and finite")
     alpha = constants.alpha
     mu2 = m * math.exp(-5.0 / 6.0)
     z2 = 1.0 / (1.0 + alpha / (3.0 * math.pi))
@@ -137,8 +137,8 @@ def delta_mu_off_shell(zeta: float, mu: float,
     Valid only in the small-zeta regime; zeta >= 0.1 is rejected rather
     than extrapolated.
     """
-    if mu <= 0:
-        raise ValidationError("reduced mass must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValidationError("reduced mass must be positive and finite")
     if not 0.0 < zeta < 0.1:
         raise ValidationError("zeta must lie in (0, 0.1)")
     alpha = constants.alpha
@@ -176,24 +176,6 @@ def _zeta_scalar_from_ratio(ratio: float, alpha: float) -> float:
         f"zeta root not converged in {_ZETA_MAX_STEPS} Newton steps "
         f"(Z^2/n^2 = {ratio})"
     )
-
-
-def zeta_self_energy(z: int, n: int,
-                     constants: PhysicalConstants = DEFAULT_CONSTANTS
-                     ) -> float:
-    """Scalar-scheme zeta: root of the off-shell binding condition."""
-    if z < 1 or n < 1:
-        raise ValidationError("Z and n must be positive integers")
-    ratio = (z * z) / (n * n)
-    return _zeta_scalar_from_ratio(ratio, constants.alpha)
-
-
-def zeta_virial(z: int, n: int,
-                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Vector-scheme zeta from the virial theorem: 2 Z^2 alpha^2 / n^2."""
-    if z < 1 or n < 1:
-        raise ValidationError("Z and n must be positive integers")
-    return 2.0 * (z * z) / (n * n) * constants.alpha ** 2
 
 
 def zeta_row(ratio, constants: PhysicalConstants = DEFAULT_CONSTANTS

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,11 @@ from conftest import CLI, cli_csv, cli_json, run_cli
 from test_golden import INDEX, _leaves
 
 from rrm_lab import cli
-from rrm_lab.constants import DEFAULT_CONSTANTS
+from rrm_lab.constants import (
+    DEFAULT_CONSTANTS,
+    default_particle_table,
+    serialize_particle_table,
+)
 
 
 def test_lambda_human_format():
@@ -228,10 +233,19 @@ FAMILY_MODULES = {
 }
 
 
-def _loaded_after(code, *args):
-    # run code in a fresh interpreter; it prints a json document last
-    proc = subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, text=True)
+# what importlib.resources drags in; reading the bundled data needs none
+DATA_READER_MODULES = ("importlib.resources", "pathlib", "zipfile",
+                       "tempfile", "urllib.parse")
+
+
+def _loaded_after(code, *args, flags=()):
+    # run code in a fresh interpreter; it prints a json document last. The
+    # package's own root leads the path, so -S (no site) still finds it
+    root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -248,12 +262,16 @@ from rrm_lab import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("rrm_lab."))]))
+                               if m.startswith("rrm_lab.")),
+                  sorted(set(sys.argv[2:]) & set(sys.modules))]))
 """
-    exit_code, loaded = _loaded_after(code, json.dumps(argv))
+    # without site, nothing but the command itself loads these modules
+    exit_code, loaded, data_reader = _loaded_after(
+        code, json.dumps(argv), *DATA_READER_MODULES, flags=("-S",))
     assert exit_code == 0
     own = {"cli", "constants", "errors"} | FAMILY_MODULES[family]
     assert loaded == sorted(f"rrm_lab.{m}" for m in own)
+    assert data_reader == []
 
 
 def test_package_import_loads_no_submodule():
@@ -400,3 +418,22 @@ def test_non_finite_input_is_rejected(argv, config, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.strip()
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("mass", ["inf", "nan"])
+@pytest.mark.parametrize("argv", [
+    ("qed", "run", "--qmax", "91.188", "--steps", "2"),
+    ("qed", "fit", "--target", "128.89"),
+])
+def test_table_with_non_finite_mass_is_rejected(mass, argv, tmp_path):
+    # an infinite electron mass took the electron out of the running: exit
+    # 0 with 1/alpha(M_Z) = 130.55; nan blamed loop_integral instead
+    text = serialize_particle_table(default_particle_table())
+    path = tmp_path / "particles.txt"
+    path.write_text(text.replace("mass_gev = 0.00051099895",
+                                 f"mass_gev = {mass}"))
+    proc = run_cli(*argv, "--table", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.strip() == (f"error: {path}:2: bad mass '{mass}' "
+                                   "for 'e'")

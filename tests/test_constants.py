@@ -122,6 +122,16 @@ def test_parse_serialize_round_trip():
     assert again == table
 
 
+@pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf])
+def test_species_mass_must_be_finite(mass):
+    # an infinite mass silently took the species out of every beta sum
+    with pytest.raises(ValidationError, match="positive and finite"):
+        FermionSpecies(name="e", mass=mass, charge=Fraction(-1), color=1)
+    text = f"name = e\nmass_gev = {mass}\ncharge = -1\ncolor = 1\n"
+    with pytest.raises(ValidationError, match=f"t:2: bad mass '{mass}'"):
+        load_particle_table(text, source="t")
+
+
 def test_parse_reports_line_numbers():
     bad = "name = e\nmass_gev = oops\ncharge = -1\ncolor = 1\n"
     with pytest.raises(ValidationError) as err:

@@ -35,7 +35,7 @@ def test_bohr_binding():
     assert e_1s * 1e6 == pytest.approx(13.598289067140, rel=1e-11)
     # n^-2 scaling
     assert bohr_binding(1, 2, mu_hydrogen(), C) == pytest.approx(
-        e_1s / 4.0, rel=1e-14)
+        e_1s / 4.0, rel=1e-14, abs=0)
 
 
 def test_rde_transitions_frozen():

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from rrm_lab import lamb, potential, qcd, qed, regulator, self_energy
 from rrm_lab.constants import (
     DEFAULT_CONSTANTS,
     FermionSpecies,
@@ -40,8 +41,6 @@ from rrm_lab.potential import (
 from rrm_lab.qcd import alpha_s_lambda, alpha_s_mu, lambda_qcd, make_scheme
 from rrm_lab.qed import (
     BetaModel,
-    _loop_shape,
-    beta_single,
     beta_total,
     evolve_alpha,
     landau_solution,
@@ -54,11 +53,11 @@ from rrm_lab.regulator import (
     quartic_third_derivative_closed_form,
     quartic_third_derivative_oracle,
 )
+from rrm_lab.errors import NumericsError, ValidationError
 from rrm_lab.self_energy import (
     delta_mu_off_shell,
     mass_increment,
     zeta_row,
-    zeta_self_energy,
 )
 
 C = DEFAULT_CONSTANTS
@@ -130,7 +129,7 @@ def test_log_value_derivative_consistency():
 def test_zeta_root_residual_all_rows():
     norm = (C.alpha / (4.0 * math.pi)) / (1.0 + C.alpha / (3.0 * math.pi))
     for z, n in ((1, 1), (1, 2), (1, 4)):
-        zeta = zeta_self_energy(z, n, C)
+        zeta = zeta_row((z * z) / (n * n), C).zeta_s
         lhs = norm * (-zeta + 2.0 * zeta * math.log(zeta))
         rhs = -(z * z) * C.alpha ** 2 / (2.0 * n * n)
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
@@ -156,26 +155,30 @@ def test_zeta_scheme_identities():
         assert row.zeta_sv_mean == (row.zeta_s + row.zeta_v) / 2.0
         assert row.zeta_sv_geo == math.sqrt(row.zeta_s * row.zeta_v)
         assert row.zeta_v == pytest.approx(2.0 * ratio * C.alpha ** 2,
-                                           rel=1e-15)
+                                           rel=1e-15, abs=0)
 
 
 # ---------------------------------------------------------------------- qed
 
 M_E_GEV = C.electron_mass * 1e-3
+ELECTRON_ONLY = BetaModel(ParticleTable(species=(
+    FermionSpecies("e", M_E_GEV, Fraction(-1), 1),)))
 
 
 def test_series_vs_closed_form_window():
-    # below x = 0.01 beta_single keeps the leading x^2/5 of the loop shape
+    # far below threshold the beta is its leading x^2/5 term, and the
+    # next term of the series is -(3/14) x^2 of it
     scale = 2.0 * ALPHA0 ** 2 / (3.0 * math.pi)
     for x in (1e-3, 3e-3, 0.01 * (1.0 - 1e-9)):
-        leading = beta_single(ALPHA0, x * M_E_GEV, M_E_GEV)
-        assert leading == pytest.approx(scale * _loop_shape(x), rel=1e-3)
+        beta = beta_total(ALPHA0, x * M_E_GEV, ELECTRON_ONLY)
+        assert beta == pytest.approx(scale * x * x / 5.0, rel=x * x,
+                                     abs=0)
 
 
 def test_asymptotic_massless_limit():
     coeff = 2.0 * ALPHA0 ** 2 / (3.0 * math.pi)
     for x in (1e4, 1e5, 1e7):
-        ratio = beta_single(ALPHA0, x * M_E_GEV, M_E_GEV) / coeff
+        ratio = beta_total(ALPHA0, x * M_E_GEV, ELECTRON_ONLY) / coeff
         assert 0.999 <= ratio <= 1.0
 
 
@@ -223,10 +226,7 @@ def test_massive_running_matches_quadrature_of_beta():
 
 
 def test_ode_bounded_by_landau():
-    electron_only = ParticleTable(species=(
-        FermionSpecies("e", M_E_GEV, Fraction(-1), 1),))
-    model = BetaModel(electron_only)
-    curve = evolve_alpha(10.0, model, steps=40, constants=C)
+    curve = evolve_alpha(10.0, ELECTRON_ONLY, steps=40, constants=C)
     for q, a in curve.samples:
         if q >= 10.0 * M_E_GEV:
             assert a <= landau_solution(q, M_E_GEV, ALPHA0) * (1.0 + 1e-6)
@@ -393,7 +393,7 @@ def test_p4_shift_separability():
         invariants.append(shift * n ** 4 / bracket)
     base = invariants[0]
     for value in invariants[1:]:
-        assert value == pytest.approx(base, rel=1e-12)
+        assert value == pytest.approx(base, rel=1e-12, abs=0)
 
 
 def test_beta_positive_and_mass_reduced():
@@ -435,3 +435,75 @@ def test_cli_machine_digits():
     z2_text = proc.stdout.strip().splitlines()[1].split(",")[2]
     digits = z2_text.replace(".", "").replace("-", "").lstrip("0")
     assert len(digits) >= 10
+
+
+# -------------------------------------------------------- non-finite inputs
+
+_PARAMS = PotentialParams(1.0, 0.5)
+_CFG_2S = AtomConfig(z=1, nuclear_mass=C.proton_mass, n=2, l=0, j=0.5)
+
+# each call takes the non-finite value in one argument; nan passed every
+# `x <= 0` guard, and inf most of them
+NON_FINITE_CALLS = {
+    "qed.landau_solution": lambda v: qed.landau_solution(v, 1.0, ALPHA0),
+    "qed.landau_solution m": lambda v: qed.landau_solution(10.0, v, ALPHA0),
+    "qed.loop_integral": qed.loop_integral,
+    "qed.beta_total alpha": lambda v: qed.beta_total(v, 1.0, ELECTRON_ONLY),
+    "qed.beta_total q": lambda v: qed.beta_total(ALPHA0, v, ELECTRON_ONLY),
+    "qed.evolve_alpha": lambda v: qed.evolve_alpha(v, ELECTRON_ONLY),
+    "qcd.alpha_s_mu": lambda v: qcd.alpha_s_mu(v, 91.0, 0.118, 5),
+    "qcd.alpha_s_mu alpha": lambda v: qcd.alpha_s_mu(10.0, 91.0, v, 5),
+    "qcd.alpha_s_lambda": lambda v: qcd.alpha_s_lambda(
+        v, qcd.make_scheme(5, 0.2)),
+    "qcd.QcdScheme": lambda v: qcd.QcdScheme(5, v),
+    "qcd.hadronization_threshold": lambda v: qcd.hadronization_threshold(
+        v, 1.0),
+    "qcd.hadronization_threshold alpha":
+        lambda v: qcd.hadronization_threshold(0.2, v),
+    "lamb.reduced_mass": lambda v: lamb.reduced_mass(v, 1.0),
+    "lamb.bohr_binding": lambda v: lamb.bohr_binding(1, 1, v),
+    "lamb.AtomConfig": lambda v: lamb.AtomConfig(1, v, 1, 0, 0.5),
+    "lamb.AtomConfig j": lambda v: lamb.AtomConfig(1, 1.0, 1, 0, v),
+    "lamb.uehling_2s_shift": lamb.uehling_2s_shift,
+    "lamb.radiative_coefficients": lambda v: lamb.radiative_coefficients(
+        v, C.g_factor, "formula"),
+    "lamb.p4_level_shift": lambda v: lamb.p4_level_shift(_CFG_2S, v, 1.0),
+    "regulator.log_integral_value": lambda v: regulator.log_integral_value(
+        regulator.RegulatedLogIntegral(v)),
+    "regulator.quartic_integral_value":
+        lambda v: regulator.quartic_integral_value(
+            regulator.RegulatedQuarticIntegral(v)),
+    "regulator.QuadratureSpec": regulator.QuadratureSpec,
+    "regulator.QuadratureSpec abs_tol":
+        lambda v: regulator.QuadratureSpec(abs_tol=v),
+    "regulator.log_derivative_oracle": regulator.log_derivative_oracle,
+    "regulator.log_derivative_closed_form":
+        regulator.log_derivative_closed_form,
+    "regulator.quartic_third_derivative_oracle":
+        regulator.quartic_third_derivative_oracle,
+    "regulator.quartic_third_derivative_closed_form":
+        regulator.quartic_third_derivative_closed_form,
+    "self_energy.sigma_coefficients":
+        lambda v: self_energy.sigma_coefficients(v, 1.0, 1.0),
+    "self_energy.mass_increment":
+        lambda v: self_energy.mass_increment(1.0, 1.0, v),
+    "self_energy.fix_on_shell": self_energy.fix_on_shell,
+    "self_energy.delta_mu_off_shell":
+        lambda v: self_energy.delta_mu_off_shell(0.01, v),
+    "self_energy.zeta_row": self_energy.zeta_row,
+    "potential.PotentialParams": lambda v: potential.PotentialParams(v, 0.5),
+    "potential.PotentialParams lam":
+        lambda v: potential.PotentialParams(1.0, v),
+    "potential.one_loop_potential": lambda v: potential.one_loop_potential(
+        v, _PARAMS, potential.ssb_scheme(_PARAMS)),
+    "potential.potential_derivative":
+        lambda v: potential.potential_derivative(
+            v, 2, _PARAMS, potential.symmetric_scheme(_PARAMS)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+def test_non_finite_input_is_an_error(call, value):
+    with pytest.raises((ValidationError, NumericsError)):
+        NON_FINITE_CALLS[call](value)

@@ -1,16 +1,21 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 
-from rrm_lab.constants import DEFAULT_CONSTANTS, default_particle_table
+from rrm_lab.constants import (
+    DEFAULT_CONSTANTS,
+    FermionSpecies,
+    ParticleTable,
+    default_particle_table,
+)
 from rrm_lab.errors import NumericsError, ValidationError
 from rrm_lab.qed import (
     BetaModel,
     CouplingCurve,
     _loop_shape,
-    beta_single,
     beta_total,
     evolve_alpha,
     fit_light_quarks,
@@ -27,35 +32,52 @@ def default_model():
     return BetaModel(default_particle_table())
 
 
+def electron_model():
+    # one species of unit weight N_c Q^2: beta_total is its beta alone
+    return BetaModel(ParticleTable((FermionSpecies("e", M_E, Fraction(-1),
+                                                   1),)))
+
+
 def test_beta_vanishes_at_zero_momentum():
-    assert beta_single(ALPHA0, 0.0, M_E) == 0.0
+    assert beta_total(ALPHA0, 0.0, electron_model()) == 0.0
 
 
 def test_beta_positive_above_threshold():
-    assert beta_single(ALPHA0, 1.0, M_E) > 0.0
+    assert beta_total(ALPHA0, 1.0, electron_model()) > 0.0
 
 
 def test_beta_small_momentum_suppression():
-    # deep below threshold the series gives the x^2/5 suppression
+    # deep below threshold h gives the x^2/5 suppression; the next term of
+    # its series is -(3/14) x^2 of the first
     x = 1e-2
-    b = beta_single(ALPHA0, x * M_E, M_E)
+    b = beta_total(ALPHA0, x * M_E, electron_model())
     lead = (2.0 * ALPHA0 ** 2 / (3.0 * math.pi)) * x * x / 5.0
-    assert b == pytest.approx(lead, rel=1e-4)
+    assert b == pytest.approx(lead, rel=1e-4, abs=0)
 
 
 def test_beta_total_frozen_at_start():
+    # the exact (2 alpha^2 / 3 pi) sum_f N_c Q_f^2 h(Q/m_f) at Q = 1e-6 GeV,
+    # summed at 50 digits
     b = beta_total(ALPHA0, 1e-6, default_model())
-    assert b == pytest.approx(8.710091913054e-12, rel=1e-9)
+    with mpmath.workdps(50):
+        total = mpmath.fsum(
+            (mpmath.mpf(sp.charge_weight.numerator)
+             / sp.charge_weight.denominator)
+            * mpmath.mpf(_loop_shape_mp(1e-6 / sp.mass))
+            for sp in default_particle_table())
+        ref = float(2 * mpmath.mpf(ALPHA0) ** 2 / (3 * mpmath.pi) * total)
+    assert b == pytest.approx(ref, rel=1e-13, abs=0)
+    assert b == pytest.approx(8.71008481003382e-12, rel=1e-13, abs=0)
     assert b < 1e-11
 
 
 def test_series_matches_closed_form_at_crossover():
-    # both branches evaluated at the same x straddle the switch smoothly
+    # h's series and closed form meet at x = 1 without a step: evaluate on
+    # both sides of the electron's switch
     m = default_model()
-    x = 0.01
-    lo = beta_total(ALPHA0, M_E * x * (1.0 - 1e-9), m)
-    hi = beta_total(ALPHA0, M_E * x * (1.0 + 1e-9), m)
-    assert lo == pytest.approx(hi, rel=1e-4)
+    lo = beta_total(ALPHA0, M_E * (1.0 - 1e-9), m)
+    hi = beta_total(ALPHA0, M_E * (1.0 + 1e-9), m)
+    assert lo == pytest.approx(hi, rel=1e-8, abs=0)
 
 
 def test_evolve_alpha_frozen_endpoint():
@@ -83,17 +105,21 @@ def test_evolve_alpha_steps_control():
     assert len(curve.samples) == 17
 
 
-def test_curve_interpolation():
+def test_curve_samples_are_the_exact_running():
+    # no sample is interpolated: a run that ends at a sample's Q ends on
+    # the same alpha, bit for bit, and alpha at Q = 1 GeV lies in between
     curve = evolve_alpha(C.m_z, default_model(), steps=200, constants=C)
-    a_mid = curve.alpha_at(1.0)
+    for q, a in curve.samples[1::40]:
+        assert evolve_alpha(q, default_model(), steps=2,
+                            constants=C).samples[-1] == (q, a)
+    a_mid = evolve_alpha(1.0, default_model(), steps=2,
+                         constants=C).samples[-1][1]
     assert ALPHA0 < a_mid < curve.samples[-1][1]
-    assert curve.alpha_at(curve.samples[-1][0]) == curve.samples[-1][1]
 
 
 def test_curve_requires_increasing_q():
     with pytest.raises(ValidationError):
-        CouplingCurve(samples=((1.0, 0.007), (1.0, 0.008)),
-                      model_id="bad")
+        CouplingCurve(samples=((1.0, 0.007), (1.0, 0.008)))
 
 
 def test_landau_solution_frozen():
@@ -151,9 +177,9 @@ def test_loop_integral_matches_mpmath():
     xs += [10.0 ** rng.uniform(-6.0, 8.0) for _ in range(200)]
     for x in xs:
         assert loop_integral(x) == pytest.approx(_loop_integral_mp(x),
-                                                 rel=1e-14), x
+                                                 rel=1e-14, abs=0), x
         assert _loop_shape(x) == pytest.approx(_loop_shape_mp(x),
-                                               rel=2e-14), x
+                                               rel=2e-14, abs=0), x
 
 
 def test_loop_integral_limits():

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import mpmath
 import pytest
 
 from rrm_lab.constants import DEFAULT_CONSTANTS
@@ -10,9 +12,7 @@ from rrm_lab.self_energy import (
     mass_increment,
     sigma_coefficients,
     zeta_row,
-    zeta_self_energy,
     zeta_table,
-    zeta_virial,
 )
 
 C = DEFAULT_CONSTANTS
@@ -110,25 +110,25 @@ def test_zeta_scheme_identities_exact():
 
 
 def test_zeta_virial_closed_form():
-    assert zeta_virial(1, 2) == pytest.approx(2.0 * C.alpha ** 2 / 4.0,
-                                              rel=1e-15)
+    assert zeta_row(0.25, C).zeta_v == pytest.approx(
+        2.0 * C.alpha ** 2 / 4.0, rel=1e-15, abs=0)
     assert zeta_row(1.0, C).zeta_v == pytest.approx(2.0 * C.alpha ** 2,
-                                                    rel=1e-15)
+                                                    rel=1e-15, abs=0)
 
 
 def test_zeta_solver_residual():
     norm = (C.alpha / (4.0 * math.pi)) / (1.0 + C.alpha / (3.0 * math.pi))
     for z, n in ((1, 1), (1, 2), (1, 4)):
-        zeta = zeta_self_energy(z, n, C)
+        zeta = zeta_row((z * z) / (n * n), C).zeta_s
         lhs = norm * (-zeta + 2.0 * zeta * math.log(zeta))
         rhs = -(z * z) * C.alpha ** 2 / (2.0 * n * n)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_zeta_solver_out_of_bracket():
-    # rhs far below anything the bracket can reach
+    # at alpha = 0.5 the rhs lies far below anything the bracket can reach
     with pytest.raises(NumericsError):
-        zeta_self_energy(30, 1, C)
+        zeta_row(1.0, dataclasses.replace(C, alpha=0.5))
 
 
 def test_zeta_table_layout():
@@ -142,4 +142,32 @@ def test_zeta_row_validation():
     with pytest.raises(ValidationError):
         zeta_row(0.0, C)
     with pytest.raises(ValidationError):
-        zeta_self_energy(0, 1, C)
+        zeta_row(1.5, C)
+
+
+def _sigma_mp(p_sq, m, mu2):
+    """A and B at 60 digits from the same closed forms."""
+    with mpmath.workdps(60):
+        p_sq, m, mu2, alpha = (mpmath.mpf(v)
+                               for v in (p_sq, m, mu2, C.alpha))
+        m_sq = m * m
+        log_scale = mpmath.log(m / mu2)
+        off = (m_sq - p_sq) / p_sq
+        log_off = mpmath.log((m_sq - p_sq) / m_sq)
+        a = alpha / mpmath.pi * m * (2 - 2 * log_scale + off * log_off)
+        b = alpha / (4 * mpmath.pi) * (
+            2 * log_scale - 3 - off * (1 + (m_sq + p_sq) / p_sq * log_off))
+        return float(a), float(b)
+
+
+@pytest.mark.parametrize("k", range(1, 16))
+def test_sigma_coefficients_near_shell_match_mpmath(k):
+    # p^2 = m^2 (1 - 10^-k): the (m^2 - p^2) log terms shrink toward the
+    # shell without losing digits
+    m = C.electron_mass
+    for mu2 in (m, fix_on_shell(m, C).mu2):
+        p_sq = m * m * (1.0 - 10.0 ** -k)
+        co = sigma_coefficients(p_sq, m, mu2, C)
+        a, b = _sigma_mp(p_sq, m, mu2)
+        assert co.a == pytest.approx(a, rel=2e-14, abs=0)
+        assert co.b == pytest.approx(b, rel=2e-14, abs=0)
