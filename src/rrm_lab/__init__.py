@@ -22,9 +22,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "constants": (
         "DEFAULT_CONSTANTS", "FermionSpecies", "ParticleTable",
-        "PhysicalConstants", "default_particle_table",
-        "energy_to_frequency", "load_config", "load_particle_table",
-        "load_particle_table_file", "serialize_particle_table",
+        "PhysicalConstants", "default_particle_table", "load_config",
+        "load_particle_table", "load_particle_table_file",
     ),
     "errors": ("NumericsError", "RRMLabError", "ValidationError"),
     "lamb": (

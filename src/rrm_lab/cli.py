@@ -20,14 +20,15 @@ fixtures). Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .constants import (
     DEFAULT_CONSTANTS,
+    MAX_SAMPLES,
     default_particle_table,
     load_config,
     load_particle_table_file,
+    parse_finite,
 )
 from .errors import NumericsError, ValidationError
 
@@ -67,13 +68,28 @@ def _csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_finite(data):
+    """Raise NumericsError naming the key of a nan or infinite number in a
+    record or list of records: an overflow must not print as a number."""
+    for record in [data] if isinstance(data, dict) else data:
+        for key, value in record.items():
+            kind = type(value)
+            if kind is float or kind is complex:
+                if value * 0.0 != 0.0:  # nan iff a part is nan or inf
+                    raise NumericsError(f"{key} = {value!r} is not finite")
+            elif kind is dict or kind is list:
+                _check_finite(value)
+
+
 def _emit(fmt: str, data, table=None, rows=None) -> str:
     """Render a record or a list of records in one output format.
 
     ``table`` is the command's own table layout, called with ``data``;
     ``rows`` replaces ``data`` in csv and the default table where the json
-    document is not the list of records those print.
+    document is not the list of records those print; it holds only numbers
+    that ``data`` holds, since the finite check reads ``data``.
     """
+    _check_finite(data)
     if fmt == "json":
         import json
         return json.dumps(data, indent=2, default=_complex_json) + "\n"
@@ -90,11 +106,8 @@ def _emit(fmt: str, data, table=None, rows=None) -> str:
 def _finite(text: str) -> float:
     """argparse type for a float flag: nan and inf pass every `x <= 0`
     guard, so they are usage errors here."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
+    value = parse_finite(text)
+    if value is None:
         raise argparse.ArgumentTypeError(f"invalid finite number: {text!r}")
     return value
 
@@ -162,6 +175,8 @@ _SCHEME_FIELDS = {
 def _cmd_selfenergy_zeta(args, constants):
     from . import self_energy as se_mod
     schemes = tuple(_SCHEME_FIELDS) if args.scheme == "all" else (args.scheme,)
+    if len(args.n) > MAX_SAMPLES:
+        raise ValidationError(f"at most {MAX_SAMPLES} values of n")
     records = []
     for n in args.n:
         if args.z < 1 or n < 1:
@@ -190,7 +205,7 @@ def _cmd_selfenergy_onshell(args, constants):
     from . import self_energy as se_mod
     m = args.m if args.m is not None else constants.electron_mass
     fix = se_mod.fix_on_shell(m, constants)
-    # reevaluate the increment instead of echoing the constructed zero
+    # the increment at the fixed mu2, evaluated rather than assumed zero
     delta_m = se_mod.mass_increment(m * m, m, fix.mu2, constants)
     coeff = se_mod.sigma_coefficients(m * m, m, fix.mu2, constants)
     return _emit(args.format, {"m": m, "mu2": fix.mu2, "z2": fix.z2,
@@ -313,8 +328,8 @@ def _cmd_effpot_value(args, constants):
 
 
 def _cmd_effpot_scan(args, constants):
-    if args.n < 2:
-        raise ValidationError("scan needs at least 2 points")
+    if not 2 <= args.n <= MAX_SAMPLES:
+        raise ValidationError(f"scan needs 2 to {MAX_SAMPLES} points")
     if args.phimax <= 0:
         raise ValidationError("phimax must be positive")
     step = args.phimax / (args.n - 1)
@@ -543,6 +558,11 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:  # float ** overflow, 1/x of an underflow
+        print(f"numerical failure: {args.command} {args.verb}: an input is "
+              f"outside the float range ({type(exc).__name__})",
+              file=sys.stderr)
         return 3
     except Exception as exc:  # a defect, or a family module that will not load
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

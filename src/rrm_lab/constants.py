@@ -17,6 +17,9 @@ from .errors import ValidationError
 # Electric charges allowed for an elementary charged fermion, units of e.
 ALLOWED_CHARGES = (Fraction(-1), Fraction(2, 3), Fraction(-1, 3))
 
+# the most samples a curve or scan holds; more would only exhaust memory
+MAX_SAMPLES = 100_000
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -42,19 +45,25 @@ class PhysicalConstants:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValidationError(f"{f.name} must be finite")
-        if self.ev_to_hz <= 0:
-            raise ValidationError("ev_to_hz must be positive")
-        for name in ("electron_mass", "proton_mass", "deuteron_mass",
-                     "m_z", "m_z_strong"):
+        for name in ("ev_to_hz", "electron_mass", "proton_mass",
+                     "deuteron_mass", "m_z", "m_z_strong", "alpha"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
         if not 2.0 <= self.g_factor <= 2.01:
             raise ValidationError("g_factor outside [2.0, 2.01]")
-        if self.alpha <= 0:
-            raise ValidationError("alpha must be positive")
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()
+
+
+def parse_finite(text: str):
+    """float(text) when text is a finite number, else None: nan and inf
+    pass every `x <= 0` check downstream, so no reader takes them."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 def load_config(path) -> PhysicalConstants:
@@ -76,12 +85,8 @@ def load_config(path) -> PhysicalConstants:
             key = key.strip()
             if key not in known:
                 raise ValidationError(f"{path}:{lineno}: unknown key '{key}'")
-            try:
-                number = float(value.strip())
-            except ValueError:
-                number = math.nan
-            # nan and inf pass every `x <= 0` check downstream
-            if not math.isfinite(number):
+            number = parse_finite(value)
+            if number is None:
                 raise ValidationError(
                     f"{path}:{lineno}: '{value.strip()}' is not a finite "
                     "number"
@@ -133,15 +138,6 @@ class ParticleTable:
 
     def __iter__(self):
         return iter(self.species)
-
-    def __len__(self):
-        return len(self.species)
-
-    def get(self, name: str) -> FermionSpecies:
-        for s in self.species:
-            if s.name == name:
-                return s
-        raise ValidationError(f"unknown species '{name}'")
 
     def quarks(self):
         return tuple(s for s in self.species if s.color == 3)
@@ -197,11 +193,8 @@ def load_particle_table(text: str, source: str = "<string>") -> ParticleTable:
             )
         name = block["name"][1]
         lineno, mass_text = block["mass_gev"]
-        try:
-            mass = float(mass_text)
-        except ValueError:
-            mass = math.nan
-        if not math.isfinite(mass):
+        mass = parse_finite(mass_text)
+        if mass is None:
             raise ValidationError(
                 f"{source}:{lineno}: bad mass '{mass_text}' for '{name}'"
             )
@@ -223,18 +216,6 @@ def load_particle_table(text: str, source: str = "<string>") -> ParticleTable:
     return ParticleTable(tuple(species))
 
 
-def serialize_particle_table(table: ParticleTable) -> str:
-    blocks = []
-    for s in table:
-        blocks.append(
-            f"name = {s.name}\n"
-            f"mass_gev = {s.mass!r}\n"
-            f"charge = {s.charge}\n"
-            f"color = {s.color}\n"
-        )
-    return "\n".join(blocks)
-
-
 def read_data(name: str) -> str:
     """A file of the package's data/, read through the module loader."""
     path = os.path.join(os.path.dirname(__file__), "data", name)
@@ -250,8 +231,3 @@ def load_particle_table_file(path) -> ParticleTable:
     with open(path, encoding="utf-8") as fh:
         return load_particle_table(fh.read(), source=str(path))
 
-
-def energy_to_frequency(e_ev: float,
-                        constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Photon frequency in Hz for an energy in eV."""
-    return e_ev * constants.ev_to_hz

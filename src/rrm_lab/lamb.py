@@ -49,14 +49,11 @@ class AtomConfig:
 
 @dataclass(frozen=True)
 class RadiativeCoefficients:
-    b1: float      # MeV^-1, zero once the first constant is fixed
     b2: float      # MeV^-3
-    b0p: float     # zero once the quartic-sector constants are fixed
     b1p: float     # MeV^-1
     b2p: float     # MeV^-3
     beta: float    # dimensionless mass-shift ratio
     b2r: float     # MeV^-3, renormalized coefficient
-    coefficient_mode: str
 
 
 @dataclass(frozen=True)
@@ -77,8 +74,8 @@ def reduced_mass(m_e: float, m_n: float) -> float:
 def bohr_binding(z: int, n: int, mu: float,
                  constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Nonrelativistic binding energy Z^2 alpha^2 mu / 2 n^2 (positive)."""
-    if not 1 <= n < math.inf:
-        raise ValidationError("n must be at least 1")
+    if not (1 <= z < math.inf and 1 <= n < math.inf):
+        raise ValidationError("Z and n must be at least 1")
     if not 0.0 < mu < math.inf:
         raise ValidationError("mass must be positive and finite")
     alpha = constants.alpha
@@ -132,14 +129,14 @@ def radiative_coefficients(mu: float, g: float, mode: str,
                            ) -> RadiativeCoefficients:
     """Momentum-expansion coefficients of the noncovariant self-energy.
 
-    b1 and b0p vanish by the constants-fixing choices (recorded as zeros);
-    the surviving quartic coefficients combine with the mass-shift ratio
-    beta into the renormalized b2r. Two b2r modes: the assembled formula,
+    b1 and b0' vanish by the constants-fixing choices, so no field holds
+    them; the surviving quartic coefficients combine with the mass-shift
+    ratio beta into the renormalized b2r. Two b2r modes: the assembled formula,
     and a frozen reference constant; they differ by 1.5 percent and are
     never silently mixed.
     """
-    if not 0.0 < mu < math.inf:
-        raise ValidationError("mass must be positive and finite")
+    if not (0.0 < mu < math.inf and 0.0 < g < math.inf):
+        raise ValidationError("mass and g factor must be positive and finite")
     if mode not in COEFFICIENT_MODES:
         raise ValidationError(f"mode must be one of {COEFFICIENT_MODES}")
     alpha = constants.alpha
@@ -155,10 +152,7 @@ def radiative_coefficients(mu: float, g: float, mode: str,
             / (8.0 * mu3)
     else:
         b2r = _B2R_FROZEN * alpha / (math.pi * mu3)
-    return RadiativeCoefficients(
-        b1=0.0, b2=b2, b0p=0.0, b1p=b1p, b2p=b2p, beta=beta, b2r=b2r,
-        coefficient_mode=mode,
-    )
+    return RadiativeCoefficients(b2, b1p, b2p, beta, b2r)
 
 
 def _bracket(n: int, l: int, convention: str) -> float:
@@ -192,18 +186,18 @@ def lamb_2s_2p(mu_obs: float, b2r: float,
                vp_mhz: float = DEFAULT_VP_MHZ,
                nuclear_mhz: float = DEFAULT_NUCLEAR_MHZ,
                convention: str = "standard_2l",
-               nuclear_mass: float = None,
                constants: PhysicalConstants = DEFAULT_CONSTANTS
                ) -> TransitionReport:
-    """Assemble the 2S(1/2)-2P(1/2) splitting.
+    """Assemble the 2S(1/2)-2P(1/2) splitting of hydrogen.
 
     The point-nucleus baseline cancels exactly (same n and j); what
     remains is the radiative p^4 difference plus the two external terms.
     """
-    if nuclear_mass is None:
-        nuclear_mass = constants.proton_mass
-    cfg_2s = AtomConfig(z=1, nuclear_mass=nuclear_mass, n=2, l=0, j=0.5)
-    cfg_2p = AtomConfig(z=1, nuclear_mass=nuclear_mass, n=2, l=1, j=0.5)
+    if not (math.isfinite(vp_mhz) and math.isfinite(nuclear_mhz)):
+        raise ValidationError("external terms must be finite")
+    m_p = constants.proton_mass
+    cfg_2s = AtomConfig(z=1, nuclear_mass=m_p, n=2, l=0, j=0.5)
+    cfg_2p = AtomConfig(z=1, nuclear_mass=m_p, n=2, l=1, j=0.5)
     baseline = _mev_to_hz(
         rde_level(cfg_2s, constants) - rde_level(cfg_2p, constants),
         constants,

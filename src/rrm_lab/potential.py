@@ -52,7 +52,6 @@ class SchemeConstants:
     c1: complex       # dimensionless, -ln(mass^2) convention
     c2: float         # GeV^2
     c3: float         # GeV^4
-    sector_name: str
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,6 @@ def ssb_scheme(p: PotentialParams) -> SchemeConstants:
         c1=complex(-math.log(2.0 * p.sigma)),
         c2=2.0 * p.sigma,
         c3=-p.sigma ** 2 + FOUR_PI_SQ * 3.0 * p.sigma ** 2 / p.lam,
-        sector_name="ssb",
     )
 
 
@@ -93,7 +91,6 @@ def symmetric_scheme(p: PotentialParams) -> SchemeConstants:
         c1=complex(-math.log(p.sigma), -math.pi),
         c2=-p.sigma,
         c3=-0.25 * p.sigma ** 2,
-        sector_name="symmetric",
     )
 
 

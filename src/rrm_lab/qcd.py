@@ -24,6 +24,7 @@ from .qed import (
     CouplingCurve,
     _increasing_root,
     _log_grid,
+    _log_ratio,
     _loop_shape,
     loop_integral,
 )
@@ -40,14 +41,9 @@ class QcdScheme:
     lambda_gev: float
 
     def __post_init__(self):
-        if not 3 <= self.n_f <= 6:
-            raise ValidationError("n_f must lie in [3, 6]")
+        beta0_for(self.n_f)       # checks n_f
         if not 0.0 < self.lambda_gev < math.inf:
             raise ValidationError("lambda must be positive and finite")
-
-    @property
-    def beta0(self) -> float:
-        return beta0_for(self.n_f)
 
 
 def beta0_for(n_f: int) -> float:
@@ -110,7 +106,8 @@ def alpha_s_lambda(q: float, scheme: QcdScheme) -> float:
             f"coupling diverges at and below Lambda = "
             f"{scheme.lambda_gev:.6g} GeV (infrared confinement)"
         )
-    return 2.0 * math.pi / (scheme.beta0 * math.log(q / scheme.lambda_gev))
+    return 2.0 * math.pi / (beta0_for(scheme.n_f)
+                            * _log_ratio(q, scheme.lambda_gev))
 
 
 def alpha_s_mu(q: float, mu: float, alpha_mu: float, n_f: int) -> float:
@@ -120,7 +117,7 @@ def alpha_s_mu(q: float, mu: float, alpha_mu: float, n_f: int) -> float:
     if not 0.0 < alpha_mu < math.inf:
         raise ValidationError("alpha_s(mu) must be positive and finite")
     denom = 1.0 + alpha_mu * (beta0_for(n_f) / (2.0 * math.pi)) \
-        * math.log(q / mu)
+        * _log_ratio(q, mu)
     if denom <= 0.0:
         raise NumericsError(
             f"pole crossed: anchored form has nonpositive denominator "

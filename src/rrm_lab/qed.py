@@ -17,9 +17,15 @@ with the constant fixed at the Thomson limit Q_0 (Peskin & Schroeder 7.5).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .constants import DEFAULT_CONSTANTS, ParticleTable, PhysicalConstants
+from .constants import (
+    DEFAULT_CONSTANTS,
+    MAX_SAMPLES,
+    ParticleTable,
+    PhysicalConstants,
+)
 from .errors import NumericsError, ValidationError
 
 # Thomson-limit anchor: the boundary condition holds at Q -> 0; below this
@@ -66,10 +72,6 @@ class FitResult:
     scale_factor: float
     achieved_inverse_alpha: float
     iterations: int
-
-    def __post_init__(self):
-        if self.scale_factor <= 0:
-            raise ValidationError("scale_factor must be positive")
 
 
 def _loop_series(x: float, integrated: bool) -> float:
@@ -134,10 +136,18 @@ def beta_total(alpha: float, q: float, model: BetaModel) -> float:
         for sp in model.table)
 
 
+def _log_ratio(a: float, b: float) -> float:
+    """ln(a/b) for positive a and b, also where a/b is not a normal float."""
+    ratio = a / b
+    if sys.float_info.min <= ratio < math.inf:
+        return math.log(ratio)
+    return math.log(a) - math.log(b)
+
+
 def _log_grid(q_lo: float, q_hi: float, n: int) -> list:
     """n points evenly spaced in ln Q from q_lo to q_hi, both ends exact."""
-    if n < 2:
-        raise ValidationError("steps must be at least 2")
+    if not 2 <= n <= MAX_SAMPLES:
+        raise ValidationError(f"steps must lie in [2, {MAX_SAMPLES}]")
     t_lo = math.log(q_lo)
     step = (math.log(q_hi) - t_lo) / (n - 1)
     return [q_lo, *(math.exp(t_lo + i * step) for i in range(1, n - 1)),
@@ -205,9 +215,10 @@ def landau_solution(q: float, m: float, alpha0: float) -> float:
     """Massless one-loop closed form with its pole guarded."""
     if not all(0.0 < v < math.inf for v in (q, m, alpha0)):
         raise ValidationError("q, m, alpha0 must be positive and finite")
-    denom = 1.0 - (2.0 * alpha0 / (3.0 * math.pi)) * math.log(q / m)
+    denom = 1.0 - (2.0 * alpha0 / (3.0 * math.pi)) * _log_ratio(q, m)
     if denom <= 0.0:
-        pole = m * math.exp(3.0 * math.pi / (2.0 * alpha0))
+        # the pole lies at or below q, but exp alone can overflow
+        pole = math.exp(math.log(m) + 3.0 * math.pi / (2.0 * alpha0))
         raise NumericsError(
             f"massless running diverges at the pole scale {pole:.6g} GeV"
         )

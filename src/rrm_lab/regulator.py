@@ -15,6 +15,7 @@ the logarithm is taken on the principal branch, ln M^2 = ln|M^2| + i*pi.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 import sys
@@ -24,6 +25,13 @@ from .errors import NumericsError, ValidationError
 
 FOUR_PI_SQ = (4.0 * math.pi) ** 2          # (4 pi)^2 = 157.91...
 KAPPA = 1.0 / (2.0 * FOUR_PI_SQ)           # 1/(2 (4 pi)^2), quartic prefactor
+
+# evaluations one oracle may spend; each Kronrod panel costs 21
+MAX_EVALS = 10000
+
+# M^2 range of the oracles: (k^2+M^2)^3 overflows above 1e98, and below
+# 1e-104 the quadrature loses digits unnoticed, then divides by zero
+ORACLE_MSQ_MIN, ORACLE_MSQ_MAX = 1e-90, 1e90
 
 
 def principal_log_msq(m_sq: float) -> complex:
@@ -68,18 +76,12 @@ class RegulatedQuarticIntegral:
 class QuadratureSpec:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_evals: int = 10000
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf
                 and 0.0 < self.abs_tol < math.inf):
             raise ValidationError(
                 "quadrature tolerances must be positive and finite")
-        if not 21 <= self.max_evals < math.inf:
-            raise ValidationError("max_evals too small for one panel")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 def log_integral_value(i: RegulatedLogIntegral) -> complex:
@@ -89,6 +91,8 @@ def log_integral_value(i: RegulatedLogIntegral) -> complex:
             "log integral needs finite M^2 > 0; branch handling for negative "
             "mass-square belongs to the consumer"
         )
+    if not cmath.isfinite(i.c1):
+        raise ValidationError("integration constant c1 must be finite")
     return -1j / FOUR_PI_SQ * (math.log(i.m_sq) + i.c1)
 
 
@@ -103,6 +107,9 @@ def quartic_integral_value(i: RegulatedQuarticIntegral) -> complex:
     """
     m2 = i.m_sq
     log_m2 = principal_log_msq(m2)
+    if not (cmath.isfinite(i.c1) and cmath.isfinite(i.c2)
+            and cmath.isfinite(i.c3)):
+        raise ValidationError("integration constants must be finite")
     m4 = m2 * m2
     bracket = (
         0.5 * m4 * (log_m2 - 0.5)
@@ -199,7 +206,7 @@ def _radial_quadrature(integrand, m_sq: float, spec: QuadratureSpec) -> float:
     The compact image [0, pi/2) keeps the tail exact. Globally adaptive:
     the panel with the largest error estimate is halved until the summed
     estimate meets the tolerance; each panel costs 21 evaluations, and
-    running out of spec.max_evals first is a NumericsError. One panel
+    running out of MAX_EVALS first is a NumericsError. One panel
     converges for the oracle integrands at every M^2 tried.
     """
     scale = math.sqrt(m_sq)
@@ -214,9 +221,9 @@ def _radial_quadrature(integrand, m_sq: float, spec: QuadratureSpec) -> float:
     panels = [(-error, 0.0, 0.5 * math.pi, value)]
     evals = 21
     while error > max(spec.abs_tol, spec.rel_tol * abs(value)):
-        if evals + 42 > spec.max_evals:
+        if evals + 42 > MAX_EVALS:
             raise NumericsError(
-                f"quadrature failed to converge in {spec.max_evals} "
+                f"quadrature failed to converge in {MAX_EVALS} "
                 f"evaluations: estimated error {error:.3e}"
             )
         _, a, b, _ = heapq.heappop(panels)
@@ -232,7 +239,11 @@ def _radial_quadrature(integrand, m_sq: float, spec: QuadratureSpec) -> float:
 
 def _euclidean_cube_integral(m_sq: float, spec: QuadratureSpec) -> float:
     """int d^4k/(2 pi)^4 (k^2+M^2)^-3 = (2 pi^2/(2 pi)^4) int_0^inf
-    k^3/(k^2+M^2)^3 dk by radial quadrature; both oracles evaluate it."""
+    k^3/(k^2+M^2)^3 dk by radial quadrature, for M^2 in [ORACLE_MSQ_MIN,
+    ORACLE_MSQ_MAX]; both oracles evaluate it."""
+    if not ORACLE_MSQ_MIN <= m_sq <= ORACLE_MSQ_MAX:
+        raise ValidationError(
+            f"oracle needs M^2 in [{ORACLE_MSQ_MIN:g}, {ORACLE_MSQ_MAX:g}]")
     prefactor = (2.0 * math.pi ** 2) / (2.0 * math.pi) ** 4
 
     def integrand(k):
@@ -242,26 +253,22 @@ def _euclidean_cube_integral(m_sq: float, spec: QuadratureSpec) -> float:
 
 
 def log_derivative_oracle(m_sq: float,
-                          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+                          spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Numeric value of the once-differentiated log integral.
 
     Evaluates 2 (2 pi^2 / (2 pi)^4) * int_0^inf k^3/(k^2+M^2)^3 dk and
     returns it; the closed form is 1/(16 pi^2 M^2).
     """
-    if not 0.0 < m_sq < math.inf:
-        raise ValidationError("oracle needs finite M^2 > 0")
     return 2.0 * _euclidean_cube_integral(m_sq, spec)
 
 
 def quartic_third_derivative_oracle(
-        m_sq: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+        m_sq: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Numeric value of the thrice-differentiated quartic integral.
 
     Evaluates the Euclidean integral int d^4k/(2 pi)^4 (k^2+M^2)^-3 as a
     radial quadrature; the closed form is 1/(2 (4 pi)^2 M^2).
     """
-    if not 0.0 < m_sq < math.inf:
-        raise ValidationError("oracle needs finite M^2 > 0")
     return _euclidean_cube_integral(m_sq, spec)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import NumericsError, ValidationError
@@ -36,7 +35,6 @@ class SigmaCoefficients:
 
 @dataclass(frozen=True)
 class MassRenormalization:
-    delta_m: float
     z2: float
     mu2: float
 
@@ -126,7 +124,7 @@ def fix_on_shell(m: float,
     alpha = constants.alpha
     mu2 = m * math.exp(-5.0 / 6.0)
     z2 = 1.0 / (1.0 + alpha / (3.0 * math.pi))
-    return MassRenormalization(delta_m=0.0, z2=z2, mu2=mu2)
+    return MassRenormalization(z2=z2, mu2=mu2)
 
 
 def delta_mu_off_shell(zeta: float, mu: float,
@@ -181,7 +179,7 @@ def _zeta_scalar_from_ratio(ratio: float, alpha: float) -> float:
 def zeta_row(ratio, constants: PhysicalConstants = DEFAULT_CONSTANTS
              ) -> ZetaRow:
     """All four schemes for one value of Z^2/n^2."""
-    r = float(Fraction(ratio)) if not isinstance(ratio, float) else ratio
+    r = float(ratio)
     if not 0.0 < r <= 1.0:
         raise ValidationError("Z^2/n^2 must lie in (0, 1]")
     alpha = constants.alpha

@@ -19,6 +19,14 @@ def cli_json(*args):
     return json.loads(proc.stdout)
 
 
+def table_text(table):
+    """A particle table in the species-file format, one block per species;
+    masses at full repr so that parsing it back is exact."""
+    return "\n".join(f"name = {s.name}\nmass_gev = {s.mass!r}\n"
+                     f"charge = {s.charge}\ncolor = {s.color}\n"
+                     for s in table)
+
+
 def cli_csv(*args):
     proc = run_cli(*args, "--format", "csv")
     assert proc.returncode == 0, proc.stderr

@@ -6,15 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CLI, cli_csv, cli_json, run_cli
+from conftest import CLI, cli_csv, cli_json, run_cli, table_text
 from test_golden import INDEX, _leaves
 
 from rrm_lab import cli
-from rrm_lab.constants import (
-    DEFAULT_CONSTANTS,
-    default_particle_table,
-    serialize_particle_table,
-)
+from rrm_lab.constants import DEFAULT_CONSTANTS, default_particle_table
 
 
 def test_lambda_human_format():
@@ -428,7 +424,7 @@ def test_non_finite_input_is_rejected(argv, config, tmp_path):
 def test_table_with_non_finite_mass_is_rejected(mass, argv, tmp_path):
     # an infinite electron mass took the electron out of the running: exit
     # 0 with 1/alpha(M_Z) = 130.55; nan blamed loop_integral instead
-    text = serialize_particle_table(default_particle_table())
+    text = table_text(default_particle_table())
     path = tmp_path / "particles.txt"
     path.write_text(text.replace("mass_gev = 0.00051099895",
                                  f"mass_gev = {mass}"))
@@ -437,3 +433,43 @@ def test_table_with_non_finite_mass_is_rejected(mass, argv, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.strip() == (f"error: {path}:2: bad mass '{mass}' "
                                    "for 'e'")
+
+
+# one above the documented sample maximum, constants.MAX_SAMPLES
+_TOO_MANY = str(100_001)
+
+
+@pytest.mark.parametrize("argv,config,code", [
+    # finite inputs that overflow inside a kernel printed nan or inf, exit 0
+    (("regulator", "value", "--family", "quartic", "--msq", "1e200"), None, 3),
+    (("effpot", "value", "--sigma", "1e-300", "--lambda", "1e300", "--phi",
+      "1"), None, 3),
+    (("lamb", "2s2p", "--vp", "1e308", "--nuclear", "1e308"), None, 3),
+    (("qcd", "threshold", "--lambda", "1e300", "--alphamax", "1e300"), None,
+     3),
+    (("lamb", "vp"), "electron_mass = 1e308\n", 3),
+    # these ended in "internal error: ZeroDivisionError/OverflowError"
+    (("regulator", "oracle", "--family", "log", "--msq", "1e-300"), None, 2),
+    (("regulator", "oracle", "--family", "log", "--msq", "1e300"), None, 2),
+    (("effpot", "table", "--sigma", "1e200", "--lambda", "1"), None, 3),
+    # sample counts had no bound and ran until memory gave out
+    (("qed", "run", "--qmax", "10", "--steps", _TOO_MANY), None, 2),
+    (("qcd", "run", "--flavor", "b", "--qmin", "50", "--steps", _TOO_MANY),
+     None, 2),
+    (("effpot", "scan", "--sigma", "1", "--lambda", "1", "--phimax", "3",
+      "--n", _TOO_MANY), None, 2),
+    (("selfenergy", "zeta", "--Z", "1", "--n", *["1"] * int(_TOO_MANY)),
+     None, 2),
+])
+def test_out_of_range_is_one_line_error(argv, config, code, tmp_path,
+                                        capsys):
+    if config is not None:
+        path = tmp_path / "constants.txt"
+        path.write_text(config)
+        argv = (*argv, "--config", str(path))
+    for fmt in ("table", "csv", "json"):
+        assert cli.main([*argv, "--format", fmt]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+        assert "internal error" not in err

@@ -4,16 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import table_text
 from rrm_lab.constants import (
     DEFAULT_CONSTANTS,
     FermionSpecies,
     ParticleTable,
     PhysicalConstants,
     default_particle_table,
-    energy_to_frequency,
     load_config,
     load_particle_table,
-    serialize_particle_table,
 )
 from rrm_lab.errors import ValidationError
 
@@ -67,19 +66,21 @@ def test_constants_reject_non_finite(name, value):
 
 def test_default_table_species():
     table = default_particle_table()
-    assert len(table) == 9
-    assert table.get("e").mass == 0.00051099895
-    assert table.get("u").charge == Fraction(2, 3)
-    assert table.get("u").color == 3
-    assert table.get("tau").color == 1
+    assert len(table.species) == 9
+    species = {s.name: s for s in table}
+    assert species["e"].mass == 0.00051099895
+    assert species["u"].charge == Fraction(2, 3)
+    assert species["u"].color == 3
+    assert species["tau"].color == 1
     assert {q.name for q in table.quarks()} == {"u", "d", "s", "c", "b", "t"}
 
 
 def test_charge_weights_exact():
     table = default_particle_table()
-    assert table.get("u").charge_weight == Fraction(4, 3)
-    assert table.get("d").charge_weight == Fraction(1, 3)
-    assert table.get("e").charge_weight == Fraction(1)
+    species = {s.name: s for s in table}
+    assert species["u"].charge_weight == Fraction(4, 3)
+    assert species["d"].charge_weight == Fraction(1, 3)
+    assert species["e"].charge_weight == Fraction(1)
     total = sum(s.charge_weight for s in table)
     assert total == Fraction(8)
 
@@ -110,15 +111,9 @@ def test_table_rejects_empty():
         ParticleTable(species=())
 
 
-def test_get_unknown_species():
-    with pytest.raises(ValidationError):
-        default_particle_table().get("graviton")
-
-
 def test_parse_serialize_round_trip():
     table = default_particle_table()
-    again = load_particle_table(serialize_particle_table(table),
-                                source="round-trip")
+    again = load_particle_table(table_text(table), source="round-trip")
     assert again == table
 
 
@@ -137,9 +132,3 @@ def test_parse_reports_line_numbers():
     with pytest.raises(ValidationError) as err:
         load_particle_table(bad, source="t")
     assert "t:2" in str(err.value)
-
-
-def test_energy_to_frequency():
-    assert energy_to_frequency(1.0, DEFAULT_CONSTANTS) == 2.417989e14
-    f1 = energy_to_frequency(3.7, DEFAULT_CONSTANTS)
-    assert f1 == pytest.approx(3.7 * 2.417989e14, rel=1e-15)

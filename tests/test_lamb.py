@@ -74,8 +74,6 @@ def test_radiative_coefficients_frozen_mode():
     assert co.beta == pytest.approx(1.3616286264e-2, rel=1e-9)
     assert co.b2r == pytest.approx(
         1.99808 * C.alpha / (math.pi * mu_hydrogen() ** 3), rel=1e-13)
-    assert co.b1 == 0.0
-    assert co.b0p == 0.0
 
 
 def test_radiative_coefficients_formula_mode():

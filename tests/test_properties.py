@@ -4,6 +4,7 @@ This file is what the property-suite acceptance criterion executes, so it
 restates the per-module invariants even where a unit test overlaps.
 """
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -11,15 +12,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import table_text
 from rrm_lab import lamb, potential, qcd, qed, regulator, self_energy
 from rrm_lab.constants import (
     DEFAULT_CONSTANTS,
     FermionSpecies,
     ParticleTable,
     default_particle_table,
-    energy_to_frequency,
     load_particle_table,
-    serialize_particle_table,
 )
 from rrm_lab.lamb import (
     AtomConfig,
@@ -70,24 +70,15 @@ FOUR_PI_SQ = (4.0 * math.pi) ** 2
 def test_particle_table_round_trip_arbitrary():
     table = ParticleTable(species=(
         FermionSpecies("x1", 0.125, Fraction(-1, 3), 3),
-        FermionSpecies("x2", 17.25, Fraction(2, 3), 3),
+        FermionSpecies("x2", 0.1 + 0.2, Fraction(2, 3), 3),
         FermionSpecies("x3", 1e-4, Fraction(-1), 1),
     ))
-    assert load_particle_table(serialize_particle_table(table),
-                               source="prop") == table
+    assert load_particle_table(table_text(table), source="prop") == table
 
 
 def test_default_table_round_trip():
     table = default_particle_table()
-    assert load_particle_table(serialize_particle_table(table),
-                               source="prop") == table
-
-
-def test_energy_to_frequency_linear():
-    f1 = energy_to_frequency(1.0, C)
-    for a in (1e-9, 0.5, 3.0, 4.25e6):
-        assert energy_to_frequency(a, C) == pytest.approx(a * f1,
-                                                          rel=1e-15)
+    assert load_particle_table(table_text(table), source="prop") == table
 
 
 # ---------------------------------------------------------------- regulator
@@ -440,6 +431,7 @@ def test_cli_machine_digits():
 # -------------------------------------------------------- non-finite inputs
 
 _PARAMS = PotentialParams(1.0, 0.5)
+_SSB = potential.ssb_scheme(_PARAMS)
 _CFG_2S = AtomConfig(z=1, nuclear_mass=C.proton_mass, n=2, l=0, j=0.5)
 
 # each call takes the non-finite value in one argument; nan passed every
@@ -462,17 +454,35 @@ NON_FINITE_CALLS = {
         lambda v: qcd.hadronization_threshold(0.2, v),
     "lamb.reduced_mass": lambda v: lamb.reduced_mass(v, 1.0),
     "lamb.bohr_binding": lambda v: lamb.bohr_binding(1, 1, v),
+    "lamb.bohr_binding z": lambda v: lamb.bohr_binding(v, 1, 1.0),
     "lamb.AtomConfig": lambda v: lamb.AtomConfig(1, v, 1, 0, 0.5),
     "lamb.AtomConfig j": lambda v: lamb.AtomConfig(1, 1.0, 1, 0, v),
     "lamb.uehling_2s_shift": lamb.uehling_2s_shift,
     "lamb.radiative_coefficients": lambda v: lamb.radiative_coefficients(
         v, C.g_factor, "formula"),
+    "lamb.radiative_coefficients g":
+        lambda v: lamb.radiative_coefficients(1.0, v, "formula"),
     "lamb.p4_level_shift": lambda v: lamb.p4_level_shift(_CFG_2S, v, 1.0),
+    "lamb.lamb_2s_2p vp": lambda v: lamb.lamb_2s_2p(1.0, 1.0, vp_mhz=v),
+    "lamb.lamb_2s_2p nuclear":
+        lambda v: lamb.lamb_2s_2p(1.0, 1.0, nuclear_mhz=v),
     "regulator.log_integral_value": lambda v: regulator.log_integral_value(
         regulator.RegulatedLogIntegral(v)),
+    "regulator.log_integral_value c1":
+        lambda v: regulator.log_integral_value(
+            regulator.RegulatedLogIntegral(1.0, v)),
     "regulator.quartic_integral_value":
         lambda v: regulator.quartic_integral_value(
             regulator.RegulatedQuarticIntegral(v)),
+    "regulator.quartic_integral_value c1":
+        lambda v: regulator.quartic_integral_value(
+            regulator.RegulatedQuarticIntegral(-1.0, c1=complex(0.0, v))),
+    "regulator.quartic_integral_value c2":
+        lambda v: regulator.quartic_integral_value(
+            regulator.RegulatedQuarticIntegral(1.0, c2=v)),
+    "regulator.quartic_integral_value c3":
+        lambda v: regulator.quartic_integral_value(
+            regulator.RegulatedQuarticIntegral(1.0, c3=v)),
     "regulator.QuadratureSpec": regulator.QuadratureSpec,
     "regulator.QuadratureSpec abs_tol":
         lambda v: regulator.QuadratureSpec(abs_tol=v),
@@ -499,6 +509,16 @@ NON_FINITE_CALLS = {
     "potential.potential_derivative":
         lambda v: potential.potential_derivative(
             v, 2, _PARAMS, potential.symmetric_scheme(_PARAMS)),
+    # the scheme constants as one_loop_potential uses them; c1 is complex
+    "potential.SchemeConstants c1": lambda v: potential.one_loop_potential(
+        1.0, _PARAMS, dataclasses.replace(_SSB, c1=complex(v))),
+    "potential.SchemeConstants c1 imag":
+        lambda v: potential.one_loop_potential(
+            1.0, _PARAMS, dataclasses.replace(_SSB, c1=complex(0.0, v))),
+    "potential.SchemeConstants c2": lambda v: potential.one_loop_potential(
+        1.0, _PARAMS, dataclasses.replace(_SSB, c2=v)),
+    "potential.SchemeConstants c3": lambda v: potential.one_loop_potential(
+        1.0, _PARAMS, dataclasses.replace(_SSB, c3=v)),
 }
 
 

@@ -82,6 +82,15 @@ def test_alpha_s_mu_pole_guard():
         alpha_s_mu(1e-5, 91.1876, 0.1176, 5)
 
 
+def test_extreme_scale_ratios():
+    # Q/Lambda and Q/mu overflowed to inf: alpha_s printed 0, exit 0.
+    # References: the same forms at 40 digits in mpmath
+    assert alpha_s_lambda(1e308, make_scheme(5, 1e-308)) == pytest.approx(
+        5.7779913347339413e-4, rel=1e-14)
+    assert alpha_s_mu(1e308, 1e-308, 0.1, 5) == pytest.approx(
+        5.7447979420052377e-4, rel=1e-14)
+
+
 def test_alpha_s_mu_inversion():
     a1 = alpha_s_mu(3.7, 91.1876, 0.1176, 5)
     back = alpha_s_mu(91.1876, 3.7, a1, 5)

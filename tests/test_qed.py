@@ -132,6 +132,13 @@ def test_landau_pole_reported():
         landau_solution(1e281, M_E, ALPHA0)
 
 
+def test_landau_solution_extreme_scale_ratio():
+    # q/m underflowed to 0 and math.log raised ValueError; the reference is
+    # the same form at 40 digits in mpmath
+    assert landau_solution(1e-308, 1e308, ALPHA0) == pytest.approx(
+        2.2829579895307753e-3, rel=1e-14)
+
+
 def test_fit_light_quarks_frozen():
     fit = fit_light_quarks(default_model(), 128.89, C)
     assert fit.scale_factor == pytest.approx(5.514985945244, rel=1e-4)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rrm_lab import regulator
 from rrm_lab.errors import NumericsError, ValidationError
 from rrm_lab.regulator import (
     KAPPA,
@@ -106,7 +107,7 @@ def test_closed_forms():
 
 def test_quadrature_failure_reported():
     # tolerance below what one panel can certify
-    starved = QuadratureSpec(rel_tol=1e-16, abs_tol=1e-300, max_evals=21)
+    starved = QuadratureSpec(rel_tol=1e-16, abs_tol=1e-300)
     with pytest.raises(NumericsError):
         log_derivative_oracle(1.0, starved)
 
@@ -122,15 +123,16 @@ def test_kronrod_oracle_on_random_masses():
             quartic_third_derivative_closed_form(m_sq), rel=1e-14)
 
 
-def test_adaptive_panels_and_evaluation_budget():
+def test_adaptive_panels_and_evaluation_budget(monkeypatch):
     # a narrow bump at k = 3 needs bisection; its integral is sqrt(pi)/10
     def bump(k):
         return math.exp(-100.0 * (k - 3.0) ** 2)
 
     value = _radial_quadrature(bump, 1.0, QuadratureSpec())
     assert value == pytest.approx(math.sqrt(math.pi) / 10.0, rel=1e-10)
+    monkeypatch.setattr(regulator, "MAX_EVALS", 63)
     with pytest.raises(NumericsError) as err:
-        _radial_quadrature(bump, 1.0, QuadratureSpec(max_evals=63))
+        _radial_quadrature(bump, 1.0, QuadratureSpec())
     assert "63 evaluations" in str(err.value)
 
 
@@ -139,6 +141,21 @@ def test_oracle_rejects_nonpositive_mass():
         log_derivative_oracle(0.0)
     with pytest.raises(ValidationError):
         quartic_third_derivative_oracle(-2.0)
+
+
+def test_oracle_range_edges():
+    # inside the documented M^2 range the oracles keep full precision;
+    # outside it the integrand overflowed or divided by zero
+    for m_sq in (regulator.ORACLE_MSQ_MIN, regulator.ORACLE_MSQ_MAX):
+        assert log_derivative_oracle(m_sq) == pytest.approx(
+            log_derivative_closed_form(m_sq), rel=1e-14)
+        assert quartic_third_derivative_oracle(m_sq) == pytest.approx(
+            quartic_third_derivative_closed_form(m_sq), rel=1e-14)
+    for m_sq in (1e-300, 1e300):
+        with pytest.raises(ValidationError, match="oracle needs M"):
+            log_derivative_oracle(m_sq)
+        with pytest.raises(ValidationError, match="oracle needs M"):
+            quartic_third_derivative_oracle(m_sq)
 
 
 def test_quartic_third_difference_matches_derivative():

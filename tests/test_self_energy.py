@@ -48,7 +48,6 @@ def test_mass_increment_on_shell_mu2_equal_m():
 
 def test_fix_on_shell():
     fix = fix_on_shell(C.electron_mass, C)
-    assert fix.delta_m == 0.0
     assert fix.mu2 / C.electron_mass == pytest.approx(
         math.exp(-5.0 / 6.0), rel=1e-15)
     assert fix.mu2 == pytest.approx(0.2220792282, rel=1e-9)
