@@ -9,9 +9,12 @@ loads only its family: building the parser imports none of them.
 
 Each handler builds a record (dict) or a list of records and hands it to
 ``_emit``, the one renderer. json prints every float at full ``repr``
-precision and a complex number as ``{"re": ..., "im": ...}``. csv prints
-floats at 12 significant digits, one column per key, and splits a complex
-value under key ``k`` into ``re_k`` and ``im_k``. table prints a record as
+precision and a complex number as ``{"re": ..., "im": ...}``, byte for
+byte as ``json.dumps(data, indent=2)``; a list of flat number records
+(a scan, a curve) is written by ``_json_records`` instead, and a test
+checks it against ``json.dumps``. csv prints floats at 12 significant
+digits, one column per key, and splits a complex value under key ``k``
+into ``re_k`` and ``im_k``. table prints a record as
 ``key = value`` lines and a list as csv, except where a command has its own
 table layout (regulator, zeta, the qcd scalars, effpot table, lamb,
 fixtures). Identical invocations produce byte-identical output.
@@ -81,6 +84,38 @@ def _check_finite(data):
                 _check_finite(value)
 
 
+def _json_records(data):
+    """``json.dumps(data, indent=2) + "\\n"`` for a non-empty list of
+    non-empty records with str keys and values that are exactly float or
+    int, else None.
+
+    The scans print tens of thousands of such records, and ``json.dumps``
+    with an indent never uses its C encoder. Each record is written from a
+    template per key tuple: a key as ``json`` escapes it, a value by
+    ``float.__repr__`` or ``int.__repr__``, which is what ``json`` prints.
+    """
+    if type(data) is not list or not data:
+        return None
+    from json.encoder import encode_basestring_ascii
+    templates, layout, values = {}, [], []
+    for record in data:
+        if type(record) is not dict or not record:
+            return None
+        keys = tuple(record)
+        template = templates.get(keys)
+        if template is None:
+            if not all(type(k) is str for k in keys):
+                return None
+            template = templates[keys] = "  {\n" + ",\n".join(
+                f"    {encode_basestring_ascii(k).replace('%', '%%')}: %r"
+                for k in keys) + "\n  }"
+        layout.append(template)
+        values += record.values()
+    if not {*map(type, values)} <= {float, int}:
+        return None
+    return ("[\n" + ",\n".join(layout) + "\n]\n") % tuple(values)
+
+
 def _emit(fmt: str, data, table=None, rows=None) -> str:
     """Render a record or a list of records in one output format.
 
@@ -91,8 +126,11 @@ def _emit(fmt: str, data, table=None, rows=None) -> str:
     """
     _check_finite(data)
     if fmt == "json":
-        import json
-        return json.dumps(data, indent=2, default=_complex_json) + "\n"
+        text = _json_records(data)
+        if text is None:
+            import json
+            text = json.dumps(data, indent=2, default=_complex_json) + "\n"
+        return text
     if fmt == "table" and table is not None:
         return table(data)
     if rows is not None:

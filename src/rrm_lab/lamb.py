@@ -98,9 +98,14 @@ def rde_level(cfg: AtomConfig,
             "the point-nucleus level collapses"
         )
     mu = reduced_mass(constants.electron_mass, cfg.nuclear_mass)
-    delta_j = kappa - math.sqrt(kappa * kappa - z_alpha * z_alpha)
+    # both differences cancel for small Z alpha; each is rewritten over
+    # a sum of the square root and the term it was subtracted from
+    z_sq = z_alpha * z_alpha
+    delta_j = z_sq / (kappa + math.sqrt(kappa * kappa - z_sq))
     ratio = z_alpha / (cfg.n - delta_j)
-    return mu * (1.0 / math.sqrt(1.0 + ratio * ratio) - 1.0)
+    r_sq = ratio * ratio
+    s = math.sqrt(1.0 + r_sq)
+    return -mu * r_sq / (s * (1.0 + s))
 
 
 def _mev_to_hz(e_mev: float, constants: PhysicalConstants) -> float:

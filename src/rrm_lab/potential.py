@@ -29,9 +29,8 @@ from .errors import ValidationError
 from .regulator import (
     FOUR_PI_SQ,
     KAPPA,
-    RegulatedQuarticIntegral,
+    _quartic_value,
     principal_log_msq,
-    quartic_integral_value,
 )
 
 
@@ -78,10 +77,17 @@ def tree_potential(phi: float, p: PotentialParams) -> float:
 
 
 def ssb_scheme(p: PotentialParams) -> SchemeConstants:
+    c3 = -p.sigma ** 2 + FOUR_PI_SQ * 3.0 * p.sigma ** 2 / p.lam
+    if not math.isfinite(c3):  # lambda small against sigma^2
+        raise ValidationError(
+            f"sigma = {p.sigma!r} and lambda = {p.lam!r} put the ssb "
+            "constant c3 = 3 (4 pi)^2 sigma^2/lambda - sigma^2 outside the "
+            "float range"
+        )
     return SchemeConstants(
         c1=complex(-math.log(2.0 * p.sigma)),
         c2=2.0 * p.sigma,
-        c3=-p.sigma ** 2 + FOUR_PI_SQ * 3.0 * p.sigma ** 2 / p.lam,
+        c3=c3,
     )
 
 
@@ -117,10 +123,7 @@ def one_loop_potential(phi: float, p: PotentialParams,
                        c: SchemeConstants) -> complex:
     """Tree plus regulated vacuum loop at M^2(phi)."""
     m2 = _check_mass_squared(phi, p)
-    loop = quartic_integral_value(
-        RegulatedQuarticIntegral(m_sq=m2, c1=c.c1, c2=c.c2, c3=c.c3)
-    )
-    return tree_potential(phi, p) + loop
+    return tree_potential(phi, p) + _quartic_value(m2, c.c1, c.c2, c.c3)
 
 
 def _g_chain(m2: float, c: SchemeConstants):

@@ -164,7 +164,7 @@ def evolve_alpha_s_massive(model: MassiveQcdModel, q_min: float,
     def denominator(q):
         # alpha_s(Q) = anchor / denominator(Q); exactly 1 at the anchor
         flavor_sum = sum(loop_integral(q / m) - h_z for m, h_z in quarks)
-        return 1.0 + rate * (11.0 * math.log(q / m_z)
+        return 1.0 + rate * (11.0 * _log_ratio(q, m_z)
                              - (2.0 / 3.0) * flavor_sum)
 
     floor = anchor / ALPHA_S_GUARD      # denominator where alpha_s = 4 pi

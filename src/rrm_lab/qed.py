@@ -150,8 +150,14 @@ def _log_grid(q_lo: float, q_hi: float, n: int) -> list:
         raise ValidationError(f"steps must lie in [2, {MAX_SAMPLES}]")
     t_lo = math.log(q_lo)
     step = (math.log(q_hi) - t_lo) / (n - 1)
-    return [q_lo, *(math.exp(t_lo + i * step) for i in range(1, n - 1)),
+    grid = [q_lo, *(math.exp(t_lo + i * step) for i in range(1, n - 1)),
             q_hi]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValidationError(
+            f"steps = {n} log-spaced values of Q from {q_lo!r} to {q_hi!r} "
+            "GeV are not distinct; use fewer --steps or a wider range"
+        )
+    return grid
 
 
 def _increasing_root(f, lo: float, hi: float, tol: float = 1e-14) -> float:

@@ -105,18 +105,23 @@ def quartic_integral_value(i: RegulatedQuarticIntegral) -> complex:
     Real for M^2 > 0 and real constants; complex for M^2 < 0 through the
     principal branch of the logarithm.
     """
-    m2 = i.m_sq
-    log_m2 = principal_log_msq(m2)
-    if not (cmath.isfinite(i.c1) and cmath.isfinite(i.c2)
-            and cmath.isfinite(i.c3)):
+    return _quartic_value(i.m_sq, i.c1, i.c2, i.c3)
+
+
+def _quartic_value(m_sq: float, c1, c2, c3) -> complex:
+    # the closed form on plain numbers, so that a caller evaluating it at
+    # many M^2 (the potential over a field grid) builds no record per point
+    log_m2 = principal_log_msq(m_sq)
+    if not (cmath.isfinite(c1) and cmath.isfinite(c2)
+            and cmath.isfinite(c3)):
         raise ValidationError("integration constants must be finite")
-    m4 = m2 * m2
+    m4 = m_sq * m_sq
     bracket = (
         0.5 * m4 * (log_m2 - 0.5)
         - 0.5 * m4
-        + 0.5 * i.c1 * m4
-        + i.c2 * m2
-        + i.c3
+        + 0.5 * c1 * m4
+        + c2 * m_sq
+        + c3
     )
     return KAPPA * bracket
 

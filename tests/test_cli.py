@@ -1,16 +1,19 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import CLI, cli_csv, cli_json, run_cli, table_text
 from test_golden import INDEX, _leaves
 
 from rrm_lab import cli
 from rrm_lab.constants import DEFAULT_CONSTANTS, default_particle_table
+from rrm_lab.potential import PotentialParams, one_loop_potential, ssb_scheme
 
 
 def test_lambda_human_format():
@@ -460,6 +463,17 @@ _TOO_MANY = str(100_001)
       "--n", _TOO_MANY), None, 2),
     (("selfenergy", "zeta", "--Z", "1", "--n", *["1"] * int(_TOO_MANY)),
      None, 2),
+    # the ssb constant c3 overflows for a small lambda; this exited with
+    # "integration constants must be finite" or a generic float-range line
+    (("effpot", "table", "--sigma", "1", "--lambda", "1e-307"), None, 2),
+    (("effpot", "scan", "--sigma", "1", "--lambda", "1e-307", "--phimax",
+      "3", "--n", "4"), None, 2),
+    # too many steps for the range: "curve Q values must be strictly
+    # increasing" named nothing that was typed
+    (("qed", "run", "--qmax", "1.000000000000001e-6", "--steps", "50"), None,
+     2),
+    (("qcd", "run", "--flavor", "u", "--qmin", "91.18759999999999",
+      "--steps", "50"), None, 2),
 ])
 def test_out_of_range_is_one_line_error(argv, config, code, tmp_path,
                                         capsys):
@@ -473,3 +487,128 @@ def test_out_of_range_is_one_line_error(argv, config, code, tmp_path,
         assert out == ""
         assert len(err.splitlines()) == 1, err
         assert "internal error" not in err
+
+
+def test_too_many_steps_names_steps_and_range(capsys):
+    assert cli.main(["qed", "run", "--qmax", "1.000000000000001e-6",
+                     "--steps", "50"]) == 2
+    err = capsys.readouterr().err
+    assert "steps = 50" in err and "1.000000000000001e-06" in err
+
+
+# ------------------------------------------------------------- json render
+
+def _json_dumps(data):
+    # the reference: json's own indent-2 encoder, complex as the CLI writes it
+    return json.dumps(data, indent=2, default=lambda z: {
+        "re": z.real, "im": z.imag}) + "\n"
+
+
+def test_big_scan_json_is_json_dumps_of_the_library_rows(capsys):
+    n, phimax = 20000, 3.0
+    assert cli.main(["effpot", "scan", "--sigma", "1", "--lambda", "0.5",
+                     "--phimax", repr(phimax), "--n", str(n),
+                     "--format", "json"]) == 0
+    p = PotentialParams(sigma=1.0, lam=0.5)
+    c = ssb_scheme(p)
+    rows = []
+    for i in range(n):
+        phi = i * (phimax / (n - 1))
+        v = one_loop_potential(phi, p, c)
+        rows.append({"phi": phi, "re_v": v.real, "im_v": v.imag})
+    assert cli._json_records(rows) is not None   # the template path ran
+    assert capsys.readouterr().out == _json_dumps(rows)
+
+
+_KEYS = st.text(max_size=5) | st.sampled_from(
+    ["phi", "re_v", 'a"b', "a\\b", "100%", "%r", "\u00e9\u03c6", "\u2028"])
+_NUMBERS = (st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 5e-324, 1e16, 1e308, -1e308])
+            | st.integers(min_value=-2 ** 70, max_value=2 ** 70)
+            | st.just(2 ** 63 + 1))
+_OTHERS = (st.booleans() | st.none() | st.text(max_size=3)
+           | st.complex_numbers(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _record_lists(draw):
+    """Lists of records over a few key tuples, so templates are reused;
+    half of them also hold values the template path must leave to json."""
+    key_tuples = draw(st.lists(st.lists(_KEYS, unique=True, max_size=4),
+                               min_size=1, max_size=3))
+    values = _NUMBERS if draw(st.booleans()) else _NUMBERS | _OTHERS
+    records = []
+    for keys in draw(st.lists(st.sampled_from(key_tuples), max_size=6)):
+        records.append({k: draw(values) for k in keys})
+    return records
+
+
+@given(_record_lists())
+@example([])
+@example([{}])
+@example([{"phi": -0.0, "re_v": 5e-324, "im_v": 1e16},
+          {"phi": 1e308, "re_v": 2 ** 64, "im_v": 0}])
+@example([{"100%": 1.0, "%r": 2, 'a"\\b': 3.5, "\u00e9": 4.0}])
+@example([{1: 1.0, 2.5: 2, None: 3.0}])
+@example([{"x": True}])
+@example([{"x": 1.0}, {"x": None}])
+@example([{"x": 1.0, "y": "text"}])
+@example([{"x": 1.0}, {"x": 1 + 2j}])
+@example([{"x": 1.0}, {}])
+def test_json_render_is_json_dumps(records):
+    assert cli._emit("json", records) == _json_dumps(records)
+
+
+# ------------------------------------------------------- float flag sweep
+
+_SWEEP_VALUES = ("0", "-1", "5e-324", "1e-308", "1e308", "-1e308")
+
+
+def _sweep_argvs(path, parser):
+    """Each float flag of a leaf set in turn to each sweep value, on the
+    leaf's first exit-0 json golden case."""
+    base = next(case["argv"] for case in INDEX.values()
+                if case["exit"] == 0 and tuple(case["argv"][:2]) == path
+                and case["argv"][-1] == "json")
+    for action in parser._actions:
+        if action.type is not cli._finite:
+            continue
+        flag = action.option_strings[0]
+        kept, dropping = [], False
+        for token in base:
+            dropping = token == flag or (dropping
+                                         and not token.startswith("--"))
+            if not dropping:
+                kept.append(token)
+        # "--x=-1e308": argparse reads a bare "-1e308" as an option
+        yield from ([*kept, f"{flag}={value}"] for value in _SWEEP_VALUES)
+
+
+def _numbers(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [x for item in doc for x in _numbers(item)]
+    return [doc] if isinstance(doc, (int, float)) else []
+
+
+_LEAVES = dict(_leaves(cli.build_parser()))
+
+
+@pytest.mark.parametrize("path", sorted(_LEAVES),
+                         ids=lambda path: " ".join(path))
+def test_float_flag_extremes_exit_cleanly(path, capsys):
+    # an exception escaping main fails the test by itself
+    bad = []
+    for argv in _sweep_argvs(path, _LEAVES[path]):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        if code == 0:
+            if not all(map(math.isfinite, _numbers(json.loads(out)))):
+                bad.append((argv, out))
+        elif code not in (2, 3, 64) or out or "internal error" in err:
+            bad.append((argv, code, err))
+    assert not bad, bad

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from rrm_lab.constants import DEFAULT_CONSTANTS
@@ -51,6 +52,21 @@ def test_rde_level_is_negative_binding():
     e = rde_level(cfg, C)
     assert e < 0.0
     assert abs(e * 1e6) == pytest.approx(13.598289, abs=2e-3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100])
+def test_rde_level_matches_mpmath(n):
+    # mu ([1 + (Z alpha/(n - delta))^2]^(-1/2) - 1) at 60 digits, on the
+    # same float inputs; both differences in it cancel in floats
+    cfg = AtomConfig(z=1, nuclear_mass=C.proton_mass, n=n, l=0, j=0.5)
+    with mpmath.workdps(60):
+        m_e, m_p = mpmath.mpf(C.electron_mass), mpmath.mpf(C.proton_mass)
+        z_alpha = mpmath.mpf(C.alpha)
+        delta = 1 - mpmath.sqrt(1 - z_alpha ** 2)
+        ratio = z_alpha / (n - delta)
+        want = float(m_e * m_p / (m_e + m_p)
+                     * (1 / mpmath.sqrt(1 + ratio ** 2) - 1))
+    assert rde_level(cfg, C) == pytest.approx(want, rel=1e-15, abs=0)
 
 
 def test_rde_strong_field_guard():

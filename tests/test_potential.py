@@ -1,7 +1,9 @@
 import cmath
+import dataclasses
 import math
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from rrm_lab.errors import ValidationError
 from rrm_lab.potential import (
@@ -18,6 +20,7 @@ from rrm_lab.potential import (
     tree_potential,
     two_phase_table,
 )
+from rrm_lab.regulator import RegulatedQuarticIntegral, quartic_integral_value
 
 KAPPA = 1.0 / (2.0 * (4.0 * math.pi) ** 2)
 
@@ -179,3 +182,49 @@ def test_complex_region_below_singularity():
     v = one_loop_potential(1.0, p, ssb_scheme(p))
     assert v.imag != 0.0
     assert cmath.isfinite(v)
+
+
+def test_ssb_constant_overflow_names_sigma_and_lambda():
+    # c3 = 3 (4 pi)^2 sigma^2/lambda - sigma^2 is inf for a tiny lambda
+    with pytest.raises(ValidationError) as err:
+        ssb_scheme(PotentialParams(sigma=1.0, lam=1e-307))
+    assert "sigma = 1.0" in str(err.value)
+    assert "lambda = 1e-307" in str(err.value)
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@given(sigma=st.floats(1e-3, 1e3), lam=st.floats(1e-3, 1e2),
+       x=st.floats(0.0, 3.0), sector=st.sampled_from(("ssb", "symmetric")))
+@example(sigma=1.0, lam=0.5, x=0.5, sector="ssb")        # M^2 < 0
+@example(sigma=1.0, lam=0.5, x=2.0, sector="ssb")        # M^2 > 0
+@example(sigma=2.0, lam=1.5, x=0.0, sector="symmetric")  # M^2 < 0
+@example(sigma=2.0, lam=1.5, x=1.5, sector="symmetric")  # M^2 > 0
+def test_potential_is_tree_plus_quartic_integral_bit_for_bit(sigma, lam, x,
+                                                             sector):
+    # phi = x sqrt(2 sigma/lambda): M^2 < 0 for x < 1, M^2 > 0 above
+    p = PotentialParams(sigma=sigma, lam=lam)
+    c = scheme_for(sector, p)
+    phi = x * math.sqrt(2.0 * sigma / lam)
+    m2 = mass_squared(phi, p)
+    if m2 == 0.0:
+        return
+    want = tree_potential(phi, p) + quartic_integral_value(
+        RegulatedQuarticIntegral(m_sq=m2, c1=c.c1, c2=c.c2, c3=c.c3))
+    assert _bits(one_loop_potential(phi, p, c)) == _bits(want)
+
+
+def test_potential_errors_unchanged():
+    p = PotentialParams(sigma=1.0, lam=0.5)
+    c = ssb_scheme(p)
+    with pytest.raises(ValidationError) as err:
+        one_loop_potential(2.0, p, c)                # M^2(2) = 0
+    assert str(err.value) == ("M^2(phi) vanishes at phi = +/-2; the loop "
+                              "term is singular there")
+    for field in ("c1", "c2", "c3"):
+        bad = dataclasses.replace(c, **{field: math.nan})
+        with pytest.raises(ValidationError) as err:
+            one_loop_potential(1.0, p, bad)
+        assert str(err.value) == "integration constants must be finite"
