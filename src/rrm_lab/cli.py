@@ -219,6 +219,9 @@ def _cmd_selfenergy_zeta(args, constants):
     for n in args.n:
         if args.z < 1 or n < 1:
             raise ValidationError("Z and n must be positive integers")
+        if args.z > n:
+            # before dividing: a huge Z^2/n^2 overflows the float range
+            raise ValidationError("Z^2/n^2 must lie in (0, 1]")
         row = se_mod.zeta_row((args.z * args.z) / (n * n), constants)
         record = {"z": args.z, "n": n, "z_sq_over_n_sq": row.z_sq_over_n_sq}
         for s in schemes:
@@ -243,9 +246,13 @@ def _cmd_selfenergy_onshell(args, constants):
     from . import self_energy as se_mod
     m = args.m if args.m is not None else constants.electron_mass
     fix = se_mod.fix_on_shell(m, constants)
+    p_sq = m * m
+    if p_sq == 0.0:
+        raise ValidationError(f"m = {m!r} is so small that p^2 = m^2 "
+                              "underflows to 0")
     # the increment at the fixed mu2, evaluated rather than assumed zero
-    delta_m = se_mod.mass_increment(m * m, m, fix.mu2, constants)
-    coeff = se_mod.sigma_coefficients(m * m, m, fix.mu2, constants)
+    delta_m = se_mod.mass_increment(p_sq, m, fix.mu2, constants)
+    coeff = se_mod.sigma_coefficients(p_sq, m, fix.mu2, constants)
     return _emit(args.format, {"m": m, "mu2": fix.mu2, "z2": fix.z2,
                                "delta_m": delta_m, "a": coeff.a,
                                "b": coeff.b})

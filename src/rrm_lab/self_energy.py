@@ -21,8 +21,9 @@ from .errors import NumericsError, ValidationError
 _ZETA_LO = 1e-12
 _ZETA_HI = 0.099
 # Newton stops once a step in u = ln zeta is below this; from the upper
-# end, the lowest root in the bracket takes about 30 steps, and a non-finite
-# alpha, which never converges, ends at the step cap with a NumericsError
+# end, the lowest root in the bracket takes about 30 steps. The step cap is
+# a guard only: PhysicalConstants refuses a non-finite alpha, and no finite
+# alpha or ratio is known to reach it
 _ZETA_UTOL = 1e-14
 _ZETA_MAX_STEPS = 100
 

@@ -474,6 +474,10 @@ _TOO_MANY = str(100_001)
      2),
     (("qcd", "run", "--flavor", "u", "--qmin", "91.18759999999999",
       "--steps", "50"), None, 2),
+    # Z > n with Z^2 beyond the float range: the int division overflowed
+    (("selfenergy", "zeta", "--Z", str(10 ** 200), "--n", "1"), None, 2),
+    # m^2 underflows to 0: "p^2 must be positive" named no given input
+    (("selfenergy", "onshell", "--m", "1e-300"), None, 2),
 ])
 def test_out_of_range_is_one_line_error(argv, config, code, tmp_path,
                                         capsys):
@@ -494,6 +498,19 @@ def test_too_many_steps_names_steps_and_range(capsys):
                      "--steps", "50"]) == 2
     err = capsys.readouterr().err
     assert "steps = 50" in err and "1.000000000000001e-06" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("selfenergy", "zeta", "--Z", str(10 ** 200), "--n", "1"),
+     "error: Z^2/n^2 must lie in (0, 1]"),
+    (("selfenergy", "zeta", "--Z", "3", "--n", "2"),
+     "error: Z^2/n^2 must lie in (0, 1]"),
+    (("selfenergy", "onshell", "--m", "1e-300"),
+     "error: m = 1e-300 is so small that p^2 = m^2 underflows to 0"),
+])
+def test_selfenergy_range_messages(argv, message, capsys):
+    assert cli.main(list(argv)) == 2
+    assert capsys.readouterr().err.strip() == message
 
 
 # ------------------------------------------------------------- json render

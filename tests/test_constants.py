@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -132,3 +133,41 @@ def test_parse_reports_line_numbers():
     with pytest.raises(ValidationError) as err:
         load_particle_table(bad, source="t")
     assert "t:2" in str(err.value)
+
+
+_HEAD = "name = e\nmass_gev = 0.5\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("name = e\nmass_gev\n", "t:2: expected key = value"),
+    ("name = e\nspin = 1/2\n", "t:2: unknown key 'spin'"),
+    (_HEAD + "mass_gev = 0.6\n", "t:3: duplicate key 'mass_gev'"),
+    # a table of comments and blank lines has no line to name
+    ("# nothing here\n\n", "t: no species"),
+    ("# header\n\nname = e\ncharge = -1\n",
+     "t:3: species block missing mass_gev, color"),
+    (_HEAD + "charge = minus one\ncolor = 1\n",
+     "t:3: bad charge 'minus one' for 'e'"),
+    (_HEAD + "charge = 1/0\ncolor = 1\n", "t:3: bad charge '1/0' for 'e'"),
+    (_HEAD + "charge = -1\ncolor = three\n",
+     "t:4: bad color 'three' for 'e'"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_particle_table(text, source="t")
+
+
+def test_block_may_start_at_name_without_blank_line():
+    text = (_HEAD + "charge = -1\ncolor = 1\n"
+            "name = mu\nmass_gev = 0.1\ncharge = -1\ncolor = 1\n")
+    table = load_particle_table(text, source="t")
+    assert [(s.name, s.mass) for s in table] == [("e", 0.5), ("mu", 0.1)]
+
+
+def test_config_reports_missing_equals(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("# override\nalpha 0.0072\n")
+    with pytest.raises(ValidationError,
+                       match=f"^{re.escape(str(path))}:2: expected key = "
+                             "value$"):
+        load_config(str(path))

@@ -10,7 +10,6 @@ from rrm_lab.regulator import (
     QuadratureSpec,
     RegulatedLogIntegral,
     RegulatedQuarticIntegral,
-    _radial_quadrature,
     log_derivative_closed_form,
     log_derivative_oracle,
     log_integral_value,
@@ -108,8 +107,40 @@ def test_closed_forms():
 def test_quadrature_failure_reported():
     # tolerance below what one panel can certify
     starved = QuadratureSpec(rel_tol=1e-16, abs_tol=1e-300)
-    with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError, match="error estimate .* exceeds the "
+                                            "tolerance"):
         log_derivative_oracle(1.0, starved)
+
+
+def test_starved_tolerance_fails_after_one_panel(monkeypatch):
+    # halving the panel cannot lower its error floor, so the oracle
+    # reports the first estimate instead of spending more panels on it
+    calls = []
+    panel = regulator._kronrod_panel
+
+    def counted(f, a, b):
+        calls.append((a, b))
+        return panel(f, a, b)
+
+    monkeypatch.setattr(regulator, "_kronrod_panel", counted)
+    with pytest.raises(NumericsError):
+        log_derivative_oracle(1.0, QuadratureSpec(1e-16, 1e-300))
+    assert calls == [(0.0, 0.5 * math.pi)]
+
+
+@pytest.mark.parametrize("oracle,closed", [
+    (log_derivative_oracle, log_derivative_closed_form),
+    (quartic_third_derivative_oracle, quartic_third_derivative_closed_form),
+])
+def test_one_panel_error_floor(oracle, closed):
+    # the mapped integrand is sin^3 cos / M^2 at every M^2, so the panel's
+    # estimate is 50 eps = 1.11e-14 relative across the whole range
+    for e in range(-90, 91, 5):
+        m_sq = 10.0 ** e
+        value = oracle(m_sq, QuadratureSpec(1.2e-14, 1e-300))
+        assert value == pytest.approx(closed(m_sq), rel=1e-14, abs=0)
+        with pytest.raises(NumericsError):
+            oracle(m_sq, QuadratureSpec(1.0e-14, 1e-300))
 
 
 def test_kronrod_oracle_on_random_masses():
@@ -121,19 +152,6 @@ def test_kronrod_oracle_on_random_masses():
             log_derivative_closed_form(m_sq), rel=1e-14)
         assert quartic_third_derivative_oracle(m_sq) == pytest.approx(
             quartic_third_derivative_closed_form(m_sq), rel=1e-14)
-
-
-def test_adaptive_panels_and_evaluation_budget(monkeypatch):
-    # a narrow bump at k = 3 needs bisection; its integral is sqrt(pi)/10
-    def bump(k):
-        return math.exp(-100.0 * (k - 3.0) ** 2)
-
-    value = _radial_quadrature(bump, 1.0, QuadratureSpec())
-    assert value == pytest.approx(math.sqrt(math.pi) / 10.0, rel=1e-10)
-    monkeypatch.setattr(regulator, "MAX_EVALS", 63)
-    with pytest.raises(NumericsError) as err:
-        _radial_quadrature(bump, 1.0, QuadratureSpec())
-    assert "63 evaluations" in str(err.value)
 
 
 def test_oracle_rejects_nonpositive_mass():
