@@ -17,7 +17,10 @@ M^2 is negative below |phi| = sqrt(2 sigma/lambda), so values are complex
 there; the imaginary part rides on the principal log branch.
 
 Derivatives through fourth order are closed forms via the chain rule in
-M^2; they are exact, not finite differences.
+M^2; they are exact, not finite differences. sector_report reads V and
+all four from one M^2, one ln M^2 and one chain g0..g3 per field value.
+An OverflowError or ZeroDivisionError on the way becomes a NumericsError
+naming phi, sigma and lambda.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 from .regulator import (
     FOUR_PI_SQ,
     KAPPA,
@@ -76,8 +79,17 @@ def tree_potential(phi: float, p: PotentialParams) -> float:
     return -0.5 * p.sigma * phi * phi + p.lam * phi ** 4 / 24.0
 
 
+def _outside_float_range(p: PotentialParams, phi=None) -> NumericsError:
+    at = "" if phi is None else f"phi = {phi!r}, "
+    return NumericsError(f"{at}sigma = {p.sigma!r} and lambda = {p.lam!r} "
+                         "put the potential outside the float range")
+
+
 def ssb_scheme(p: PotentialParams) -> SchemeConstants:
-    c3 = -p.sigma ** 2 + FOUR_PI_SQ * 3.0 * p.sigma ** 2 / p.lam
+    try:
+        c3 = -p.sigma ** 2 + FOUR_PI_SQ * 3.0 * p.sigma ** 2 / p.lam
+    except OverflowError as exc:  # sigma^2
+        raise _outside_float_range(p) from exc
     if not math.isfinite(c3):  # lambda small against sigma^2
         raise ValidationError(
             f"sigma = {p.sigma!r} and lambda = {p.lam!r} put the ssb "
@@ -93,11 +105,14 @@ def ssb_scheme(p: PotentialParams) -> SchemeConstants:
 
 def symmetric_scheme(p: PotentialParams) -> SchemeConstants:
     # -ln(-sigma) on the same principal branch as the loop integral
-    return SchemeConstants(
-        c1=complex(-math.log(p.sigma), -math.pi),
-        c2=-p.sigma,
-        c3=-0.25 * p.sigma ** 2,
-    )
+    try:
+        return SchemeConstants(
+            c1=complex(-math.log(p.sigma), -math.pi),
+            c2=-p.sigma,
+            c3=-0.25 * p.sigma ** 2,
+        )
+    except OverflowError as exc:  # sigma^2
+        raise _outside_float_range(p) from exc
 
 
 def scheme_for(sector: str, p: PotentialParams) -> SchemeConstants:
@@ -122,13 +137,16 @@ def _check_mass_squared(phi: float, p: PotentialParams) -> float:
 def one_loop_potential(phi: float, p: PotentialParams,
                        c: SchemeConstants) -> complex:
     """Tree plus regulated vacuum loop at M^2(phi)."""
-    m2 = _check_mass_squared(phi, p)
-    return tree_potential(phi, p) + _quartic_value(m2, c.c1, c.c2, c.c3)
+    try:
+        m2 = _check_mass_squared(phi, p)
+        return tree_potential(phi, p) + _quartic_value(
+            m2, principal_log_msq(m2), c.c1, c.c2, c.c3)
+    except ArithmeticError as exc:  # phi ** 4
+        raise _outside_float_range(p, phi) from exc
 
 
-def _g_chain(m2: float, c: SchemeConstants):
+def _g_chain(m2: float, log_m2: complex, c: SchemeConstants):
     # g and its first three M^2 derivatives; g is the once-integrated loop
-    log_m2 = principal_log_msq(m2)
     g0 = m2 * log_m2 - m2 + c.c1 * m2 + c.c2
     g1 = log_m2 + c.c1
     g2 = 1.0 / m2
@@ -136,14 +154,10 @@ def _g_chain(m2: float, c: SchemeConstants):
     return g0, g1, g2, g3
 
 
-def potential_derivative(phi: float, order: int, p: PotentialParams,
-                         c: SchemeConstants) -> complex:
-    """Closed-form d^order V / d phi^order, order 1..4."""
-    if order not in (1, 2, 3, 4):
-        raise ValidationError("derivative order must be 1..4")
-    m2 = _check_mass_squared(phi, p)
+def _derivative(phi: float, order: int, p: PotentialParams, g) -> complex:
+    # d^order V / d phi^order from the chain g of _g_chain at M^2(phi)
     lam, sigma = p.lam, p.sigma
-    g0, g1, g2, g3 = _g_chain(m2, c)
+    g0, g1, g2, g3 = g
     kl = KAPPA * lam
     if order == 1:
         return -sigma * phi + lam * phi ** 3 / 6.0 + kl * phi * g0
@@ -158,6 +172,19 @@ def potential_derivative(phi: float, order: int, p: PotentialParams,
             + kl * lam ** 3 * phi ** 4 * g3)
 
 
+def potential_derivative(phi: float, order: int, p: PotentialParams,
+                         c: SchemeConstants) -> complex:
+    """Closed-form d^order V / d phi^order, order 1..4."""
+    if order not in (1, 2, 3, 4):
+        raise ValidationError("derivative order must be 1..4")
+    try:
+        m2 = _check_mass_squared(phi, p)
+        return _derivative(phi, order, p,
+                           _g_chain(m2, principal_log_msq(m2), c))
+    except ArithmeticError as exc:  # phi ** n, lam ** n, 1/M^4
+        raise _outside_float_range(p, phi) from exc
+
+
 def lambda_renormalized(p: PotentialParams) -> float:
     """Quartic coupling including its one-loop correction."""
     return p.lam * (1.0 + 9.0 * p.lam / (2.0 * FOUR_PI_SQ))
@@ -165,14 +192,20 @@ def lambda_renormalized(p: PotentialParams) -> float:
 
 def sector_report(phi: float, p: PotentialParams,
                   c: SchemeConstants) -> SectorReport:
-    return SectorReport(
-        phi=phi,
-        v=one_loop_potential(phi, p, c),
-        d1=potential_derivative(phi, 1, p, c),
-        d2=potential_derivative(phi, 2, p, c),
-        d3=potential_derivative(phi, 3, p, c),
-        d4=potential_derivative(phi, 4, p, c),
-    )
+    """V and d1..d4 from one M^2, one log and one g chain; the first piece
+    to fail, in that order, raises as its single-piece call would."""
+    try:
+        m2 = _check_mass_squared(phi, p)
+        tree = tree_potential(phi, p)  # phi ** 4 fails before the log
+        log_m2 = principal_log_msq(m2)
+        v = tree + _quartic_value(m2, log_m2, c.c1, c.c2, c.c3)
+        g = _g_chain(m2, log_m2, c)
+        return SectorReport(phi, v, _derivative(phi, 1, p, g),
+                            _derivative(phi, 2, p, g),
+                            _derivative(phi, 3, p, g),
+                            _derivative(phi, 4, p, g))
+    except ArithmeticError as exc:
+        raise _outside_float_range(p, phi) from exc
 
 
 def two_phase_table(p: PotentialParams, c: SchemeConstants):

@@ -102,13 +102,12 @@ def quartic_integral_value(i: RegulatedQuarticIntegral) -> complex:
     Real for M^2 > 0 and real constants; complex for M^2 < 0 through the
     principal branch of the logarithm.
     """
-    return _quartic_value(i.m_sq, i.c1, i.c2, i.c3)
+    return _quartic_value(i.m_sq, principal_log_msq(i.m_sq), i.c1, i.c2, i.c3)
 
 
-def _quartic_value(m_sq: float, c1, c2, c3) -> complex:
-    # the closed form on plain numbers, so that a caller evaluating it at
-    # many M^2 (the potential over a field grid) builds no record per point
-    log_m2 = principal_log_msq(m_sq)
+def _quartic_value(m_sq: float, log_m2: complex, c1, c2, c3) -> complex:
+    # the closed form on plain numbers and a ln M^2 already taken, so that
+    # the potential builds no record and shares one log with its derivatives
     if not (cmath.isfinite(c1) and cmath.isfinite(c2)
             and cmath.isfinite(c3)):
         raise ValidationError("integration constants must be finite")

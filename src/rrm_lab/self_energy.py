@@ -167,7 +167,12 @@ def _zeta_scalar_from_ratio(ratio: float, alpha: float) -> float:
         )
     u = hi
     for _ in range(_ZETA_MAX_STEPS):
-        step = residual(u) / (norm * math.exp(u) * (2.0 * u + 1.0))
+        slope = norm * math.exp(u) * (2.0 * u + 1.0)
+        if slope == 0.0:
+            raise NumericsError(
+                f"alpha = {alpha!r} is so small that the Newton slope of "
+                f"the zeta root underflows to 0 (Z^2/n^2 = {ratio})")
+        step = residual(u) / slope
         u -= step
         if abs(step) < _ZETA_UTOL:
             return math.exp(u)

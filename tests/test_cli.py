@@ -513,6 +513,40 @@ def test_selfenergy_range_messages(argv, message, capsys):
     assert capsys.readouterr().err.strip() == message
 
 
+_FLOAT_RANGE = "put the potential outside the float range"
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    # each ended in "an input is outside the float range (OverflowError)"
+    # or "(ZeroDivisionError)", which named no input
+    (("effpot", "value", "--sigma", "1", "--lambda", "1", "--phi", "1e100"),
+     None, f"phi = 1e+100, sigma = 1.0 and lambda = 1.0 {_FLOAT_RANGE}"),
+    (("effpot", "derivs", "--sigma", "1", "--lambda", "1", "--phi", "1e80"),
+     None, f"phi = 1e+80, sigma = 1.0 and lambda = 1.0 {_FLOAT_RANGE}"),
+    (("effpot", "scan", "--sigma", "1", "--lambda", "1", "--phimax", "1e100",
+      "--n", "3"),
+     None, f"phi = 5e+99, sigma = 1.0 and lambda = 1.0 {_FLOAT_RANGE}"),
+    (("effpot", "table", "--sigma", "1e200", "--lambda", "1"),
+     None, f"sigma = 1e+200 and lambda = 1.0 {_FLOAT_RANGE}"),
+    (("effpot", "table", "--sigma", "1e-300", "--lambda", "1e300"),
+     None, f"phi = 0.0, sigma = 1e-300 and lambda = 1e+300 {_FLOAT_RANGE}"),
+    (("selfenergy", "zeta", "--Z", "1", "--n", "1"), "alpha = 1e-300\n",
+     "alpha = 1e-300 is so small that the Newton slope of the zeta root "
+     "underflows to 0 (Z^2/n^2 = 1.0)"),
+])
+def test_float_range_failure_names_its_input(argv, config, message, tmp_path,
+                                             capsys):
+    if config is not None:
+        path = tmp_path / "constants.txt"
+        path.write_text(config)
+        argv = (*argv, "--config", str(path))
+    for fmt in ("table", "csv", "json"):
+        assert cli.main([*argv, "--format", fmt]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"numerical failure: {message}\n"
+
+
 # ------------------------------------------------------------- json render
 
 def _json_dumps(data):

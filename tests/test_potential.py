@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rrm_lab.errors import ValidationError
+from rrm_lab import potential, regulator
+from rrm_lab.errors import NumericsError, ValidationError
 from rrm_lab.potential import (
     PotentialParams,
     lambda_renormalized,
@@ -20,7 +21,11 @@ from rrm_lab.potential import (
     tree_potential,
     two_phase_table,
 )
-from rrm_lab.regulator import RegulatedQuarticIntegral, quartic_integral_value
+from rrm_lab.regulator import (
+    RegulatedQuarticIntegral,
+    principal_log_msq,
+    quartic_integral_value,
+)
 
 KAPPA = 1.0 / (2.0 * (4.0 * math.pi) ** 2)
 
@@ -228,3 +233,107 @@ def test_potential_errors_unchanged():
         with pytest.raises(ValidationError) as err:
             one_loop_potential(1.0, p, bad)
         assert str(err.value) == "integration constants must be finite"
+
+
+# ------------------------------------------- sector_report, one chain per phi
+
+def _single_pieces(phi, p, c):
+    # v, then d1..d4, each from its own call
+    pieces = {"phi": phi, "v": one_loop_potential(phi, p, c)}
+    for k in (1, 2, 3, 4):
+        pieces[f"d{k}"] = potential_derivative(phi, k, p, c)
+    return pieces
+
+
+def _outcome(make):
+    # the fields as bits, or the type of the first error
+    try:
+        pieces = make()
+    except Exception as exc:
+        return type(exc)
+    return {k: v if k == "phi" else _bits(v) for k, v in pieces.items()}
+
+
+def _fused_and_single(phi, p, c):
+    return (_outcome(lambda: vars(sector_report(phi, p, c))),
+            _outcome(lambda: _single_pieces(phi, p, c)))
+
+
+def _special_phis(p):
+    edge = math.sqrt(2.0 * p.sigma / p.lam)    # M^2 = 0 up to rounding
+    below, above = edge, edge
+    phis = [0.0, phi_broken(p), edge, 1e3, 1e77, 1e80]
+    for _ in range(2):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above,
+                                                                  math.inf)
+        phis += [below, above]
+    return phis
+
+
+@pytest.mark.parametrize("sector", ["ssb", "symmetric"])
+@pytest.mark.parametrize("sigma,lam", [
+    (1.0, 0.5),       # the edge is exactly phi = 2, M^2 = 0 there
+    (0.25, 1.0), (3.7, 1e-3), (1e-6, 1e3), (1e6, 1e-6),
+    (1e-300, 1.0),    # 1/M^4 divides by zero near phi = 0
+])
+def test_sector_report_is_the_single_piece_calls(sigma, lam, sector):
+    p = PotentialParams(sigma=sigma, lam=lam)
+    c = scheme_for(sector, p)
+    for phi in _special_phis(p):
+        fused, single = _fused_and_single(phi, p, c)
+        assert fused == single
+
+
+@given(sigma=st.floats(1e-6, 1e6), lam=st.floats(1e-6, 1e3),
+       phi=st.floats(0.0, 1e80), sector=st.sampled_from(("ssb", "symmetric")))
+@example(sigma=1.0, lam=1.0, phi=1e80, sector="ssb")     # v overflows
+@example(sigma=1.0, lam=1.0, phi=1e77, sector="ssb")     # v = inf + nan j
+def test_sector_report_is_the_single_piece_calls_anywhere(sigma, lam, phi,
+                                                          sector):
+    p = PotentialParams(sigma=sigma, lam=lam)
+    c = scheme_for(sector, p)
+    fused, single = _fused_and_single(phi, p, c)
+    assert fused == single
+
+
+def test_sector_report_takes_one_log_per_phi(monkeypatch):
+    # a 40-phi task, as the library benchmark runs it; the log is reached
+    # as potential.principal_log_msq and regulator.principal_log_msq
+    calls = []
+
+    def counting(m_sq):
+        calls.append(m_sq)
+        return principal_log_msq(m_sq)
+    monkeypatch.setattr(potential, "principal_log_msq", counting)
+    monkeypatch.setattr(regulator, "principal_log_msq", counting)
+    p = PotentialParams(sigma=1.7, lam=0.9)
+    c = ssb_scheme(p)
+    for k in range(40):
+        sector_report(0.125 * k, p, c)
+    assert len(calls) == 40
+
+
+def test_float_range_error_names_phi_sigma_and_lambda():
+    p = PotentialParams(sigma=1.0, lam=1.0)
+    c = ssb_scheme(p)
+    at = ("sigma = 1.0 and lambda = 1.0 put the potential outside the float "
+          "range")
+    for call, phi in ((lambda x: one_loop_potential(x, p, c), 1e100),
+                      (lambda x: potential_derivative(x, 4, p, c), 1e80),
+                      (lambda x: sector_report(x, p, c), 1e80)):
+        with pytest.raises(NumericsError) as err:
+            call(phi)
+        assert str(err.value) == f"phi = {phi!r}, {at}"
+        assert isinstance(err.value.__cause__, OverflowError)
+    tiny = PotentialParams(sigma=1e-300, lam=1e300)   # M^4 underflows to 0
+    with pytest.raises(NumericsError) as err:
+        two_phase_table(tiny, ssb_scheme(tiny))
+    assert str(err.value) == ("phi = 0.0, sigma = 1e-300 and lambda = 1e+300 "
+                              "put the potential outside the float range")
+    assert isinstance(err.value.__cause__, ZeroDivisionError)
+    huge = PotentialParams(sigma=1e200, lam=1.0)      # sigma^2 overflows
+    for scheme in (ssb_scheme, symmetric_scheme):
+        with pytest.raises(NumericsError) as err:
+            scheme(huge)
+        assert str(err.value) == ("sigma = 1e+200 and lambda = 1.0 put the "
+                                  "potential outside the float range")

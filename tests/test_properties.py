@@ -519,6 +519,17 @@ NON_FINITE_CALLS = {
         1.0, _PARAMS, dataclasses.replace(_SSB, c2=v)),
     "potential.SchemeConstants c3": lambda v: potential.one_loop_potential(
         1.0, _PARAMS, dataclasses.replace(_SSB, c3=v)),
+    # the fused kernel: phi, then each scheme constant
+    "potential.sector_report": lambda v: potential.sector_report(
+        v, _PARAMS, _SSB),
+    "potential.sector_report c1": lambda v: potential.sector_report(
+        1.0, _PARAMS, dataclasses.replace(_SSB, c1=complex(v))),
+    "potential.sector_report c1 imag": lambda v: potential.sector_report(
+        1.0, _PARAMS, dataclasses.replace(_SSB, c1=complex(0.0, v))),
+    "potential.sector_report c2": lambda v: potential.sector_report(
+        1.0, _PARAMS, dataclasses.replace(_SSB, c2=v)),
+    "potential.sector_report c3": lambda v: potential.sector_report(
+        1.0, _PARAMS, dataclasses.replace(_SSB, c3=v)),
 }
 
 

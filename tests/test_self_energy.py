@@ -170,3 +170,12 @@ def test_sigma_coefficients_near_shell_match_mpmath(k):
         a, b = _sigma_mp(p_sq, m, mu2)
         assert co.a == pytest.approx(a, rel=2e-14, abs=0)
         assert co.b == pytest.approx(b, rel=2e-14, abs=0)
+
+
+def test_zeta_slope_underflow_names_alpha():
+    # alpha = 1e-300: Newton's slope norm e^u (2u + 1) underflows to 0
+    with pytest.raises(NumericsError) as err:
+        zeta_row(1.0, dataclasses.replace(C, alpha=1e-300))
+    assert str(err.value) == ("alpha = 1e-300 is so small that the Newton "
+                              "slope of the zeta root underflows to 0 "
+                              "(Z^2/n^2 = 1.0)")
