@@ -51,7 +51,7 @@ _EXPORTS = {
         "loop_integral",
     ),
     "regulator": (
-        "KAPPA", "QuadratureSpec", "RegulatedLogIntegral",
+        "KAPPA", "RegulatedLogIntegral",
         "RegulatedQuarticIntegral", "log_derivative_closed_form",
         "log_derivative_oracle", "log_integral_value", "principal_log_msq",
         "quartic_integral_value", "quartic_third_derivative_closed_form",

@@ -182,14 +182,13 @@ def _cmd_regulator_value(args, constants):
 
 def _cmd_regulator_oracle(args, constants):
     from . import regulator as reg_mod
-    spec = reg_mod.QuadratureSpec(rel_tol=args.rtol, abs_tol=args.atol)
     records = []
     for m_sq in args.msq:
         if args.family == "log":
-            oracle = reg_mod.log_derivative_oracle(m_sq, spec)
+            oracle = reg_mod.log_derivative_oracle(m_sq)
             closed = reg_mod.log_derivative_closed_form(m_sq)
         else:
-            oracle = reg_mod.quartic_third_derivative_oracle(m_sq, spec)
+            oracle = reg_mod.quartic_third_derivative_oracle(m_sq)
             closed = reg_mod.quartic_third_derivative_closed_form(m_sq)
         records.append({"m_sq": m_sq, "oracle": oracle,
                         "closed_form": closed})
@@ -494,8 +493,6 @@ def build_parser() -> _Parser:
     p = leaf(fam, "oracle", _cmd_regulator_oracle)
     p.add_argument("--family", choices=("log", "quartic"), required=True)
     p.add_argument("--msq", type=_finite, nargs="+", required=True)
-    p.add_argument("--rtol", type=_finite, default=1e-10)
-    p.add_argument("--atol", type=_finite, default=1e-12)
 
     fam = _family(sub, "selfenergy", "self-energy and zeta schemes")
     p = leaf(fam, "zeta", _cmd_selfenergy_zeta)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 
 # external additive terms for the 2S-2P assembly, MHz
 DEFAULT_VP_MHZ = -27.13        # Uehling 2S shift, see uehling_2s_shift
@@ -65,10 +65,19 @@ class TransitionReport:
     total: float                   # Hz
 
 
+def _outside_float_range(names_values: str, what: str) -> NumericsError:
+    return NumericsError(f"{names_values} put the {what} outside the float "
+                         "range")
+
+
 def reduced_mass(m_e: float, m_n: float) -> float:
     if not (0.0 < m_e < math.inf and 0.0 < m_n < math.inf):
         raise ValidationError("masses must be positive and finite")
-    return m_e * m_n / (m_e + m_n)
+    mu = m_e * m_n / (m_e + m_n)
+    if not 0.0 < mu < math.inf:  # the product m_e m_n under- or overflows
+        raise _outside_float_range(f"m_e = {m_e!r} and m_n = {m_n!r} MeV",
+                                   "reduced mass m_e m_n / (m_e + m_n)")
+    return mu
 
 
 def bohr_binding(z: int, n: int, mu: float,
@@ -145,19 +154,28 @@ def radiative_coefficients(mu: float, g: float, mode: str,
     if mode not in COEFFICIENT_MODES:
         raise ValidationError(f"mode must be one of {COEFFICIENT_MODES}")
     alpha = constants.alpha
-    g_sq_4 = 0.25 * g * g
-    mu3 = mu ** 3
-    angular = 4.0 * math.log(2.0) / 3.0 + 2.0
-    b2 = -2.0 * alpha / (15.0 * math.pi * mu3)
-    b1p = g_sq_4 * (alpha / (math.pi * mu)) * angular
-    b2p = -g_sq_4 * alpha / (15.0 * math.pi * mu3)
-    beta = (g * g * alpha / (2.0 * math.pi)) * angular
-    if mode == "formula":
-        b2r = b2 + b2p + (3.0 * beta + 3.0 * beta ** 2 + beta ** 3) \
-            / (8.0 * mu3)
-    else:
-        b2r = _B2R_FROZEN * alpha / (math.pi * mu3)
-    return RadiativeCoefficients(b2, b1p, b2p, beta, b2r)
+    try:
+        g_sq_4 = 0.25 * g * g
+        mu3 = mu ** 3
+        angular = 4.0 * math.log(2.0) / 3.0 + 2.0
+        b2 = -2.0 * alpha / (15.0 * math.pi * mu3)
+        b1p = g_sq_4 * (alpha / (math.pi * mu)) * angular
+        b2p = -g_sq_4 * alpha / (15.0 * math.pi * mu3)
+        beta = (g * g * alpha / (2.0 * math.pi)) * angular
+        if mode == "formula":
+            b2r = b2 + b2p + (3.0 * beta + 3.0 * beta ** 2 + beta ** 3) \
+                / (8.0 * mu3)
+        else:
+            b2r = _B2R_FROZEN * alpha / (math.pi * mu3)
+        result = RadiativeCoefficients(b2, b1p, b2p, beta, b2r)
+        if not all(map(math.isfinite, vars(result).values())):
+            # float * and / overflow to inf without raising (g^2, or
+            # 1/mu^3 of a subnormal mu^3)
+            raise OverflowError
+    except ArithmeticError as exc:  # mu ** 3, or 1/mu^3 of mu^3 = 0
+        raise _outside_float_range(f"mu = {mu!r} MeV and g = {g!r}",
+                                   "radiative coefficients") from exc
+    return result
 
 
 def _bracket(n: int, l: int, convention: str) -> float:
@@ -183,8 +201,16 @@ def p4_level_shift(cfg: AtomConfig, mu_obs: float, b2r: float,
         raise ValidationError("mass must be positive and finite")
     alpha = constants.alpha
     z_alpha = cfg.z * alpha
-    return _bracket(cfg.n, cfg.l, convention) * b2r \
-        * z_alpha ** 4 * mu_obs ** 4 / cfg.n ** 4
+    bracket = _bracket(cfg.n, cfg.l, convention)
+    try:
+        shift = bracket * b2r * z_alpha ** 4 * mu_obs ** 4 / cfg.n ** 4
+        if not math.isfinite(shift):
+            raise OverflowError  # a product overflowed, or inf met 0
+    except ArithmeticError as exc:  # mu_obs ** 4 or z_alpha ** 4
+        raise _outside_float_range(
+            f"Z = {cfg.z!r}, mu_obs = {mu_obs!r} MeV and b2r = {b2r!r}",
+            "p^4 level shift") from exc
+    return shift
 
 
 def lamb_2s_2p(mu_obs: float, b2r: float,

@@ -8,8 +8,10 @@ truncating to an active-flavor count:
     Q d alpha_s / dQ = -(alpha_s^2 / 2 pi) [ 11 - (2/3) sum_q F(Q, m_q) ]
 
 with F the same fermion-loop shape as in the electromagnetic beta
-(F -> 1 for Q >> m, F -> Q^2/5m^2 for Q << m). The model's probed flavor
-is only checked to be a quark; the beta always sums all quarks.
+(F -> 1 for Q >> m, F -> Q^2/5m^2 for Q << m). The quark sums are qed's
+_loop_sum (the running, reintegrated with the loop function H) and
+_shape_sum (its slope), each quark with weight 1. The model's probed
+flavor is only checked to be a quark; the beta always sums all quarks.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .qed import (
     _increasing_root,
     _log_grid,
     _log_ratio,
-    _loop_shape,
+    _loop_sum,
+    _shape_sum,
     loop_integral,
 )
 
@@ -126,14 +129,6 @@ def alpha_s_mu(q: float, mu: float, alpha_mu: float, n_f: int) -> float:
     return alpha_mu / denom
 
 
-def _massive_beta(alpha_s: float, q: float, quarks) -> float:
-    """Q d alpha_s/dQ of the mass-retaining model; the exact running in
-    evolve_alpha_s_massive is its integral."""
-    flavor_sum = sum(_loop_shape(q / sp.mass) for sp in quarks)
-    return -(alpha_s * alpha_s / (2.0 * math.pi)) \
-        * (11.0 - (2.0 / 3.0) * flavor_sum)
-
-
 def evolve_alpha_s_massive(model: MassiveQcdModel, q_min: float,
                            steps: int = None,
                            constants: PhysicalConstants = DEFAULT_CONSTANTS
@@ -157,23 +152,22 @@ def evolve_alpha_s_massive(model: MassiveQcdModel, q_min: float,
     if q_min >= m_z:
         raise ValidationError("q_min must lie below the Z mass anchor")
     anchor = model.alpha_s_mz
-    quarks = [(sp.mass, loop_integral(m_z / sp.mass))
+    # every quark loop with weight 1, its H fixed at the anchor
+    quarks = [(1.0, sp.mass, loop_integral(m_z / sp.mass))
               for sp in model.table.quarks()]
     rate = anchor / (2.0 * math.pi)
 
     def denominator(q):
         # alpha_s(Q) = anchor / denominator(Q); exactly 1 at the anchor
-        flavor_sum = sum(loop_integral(q / m) - h_z for m, h_z in quarks)
         return 1.0 + rate * (11.0 * _log_ratio(q, m_z)
-                             - (2.0 / 3.0) * flavor_sum)
+                             - (2.0 / 3.0) * _loop_sum(quarks, q))
 
     floor = anchor / ALPHA_S_GUARD      # denominator where alpha_s = 4 pi
     if denominator(q_min) < floor:
         def excess(t):
             # denominator rises with ln Q at rate * (11 - (2/3) sum h) > 0
             q = math.exp(t)
-            slope = rate * (11.0 - (2.0 / 3.0) * sum(
-                _loop_shape(q / m) for m, _ in quarks))
+            slope = rate * (11.0 - (2.0 / 3.0) * _shape_sum(quarks, q))
             return denominator(q) - floor, slope
         last_q = math.exp(_increasing_root(excess, math.log(q_min),
                                            math.log(m_z)))

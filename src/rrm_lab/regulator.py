@@ -30,6 +30,9 @@ KAPPA = 1.0 / (2.0 * FOUR_PI_SQ)           # 1/(2 (4 pi)^2), quartic prefactor
 # 1e-104 the quadrature loses digits unnoticed, then divides by zero
 ORACLE_MSQ_MIN, ORACLE_MSQ_MAX = 1e-90, 1e90
 
+# the bound on the panel's error estimate, relative and absolute
+_REL_TOL, _ABS_TOL = 1e-10, 1e-12
+
 
 def principal_log_msq(m_sq: float) -> complex:
     """ln M^2 on the principal branch; M^2 = 0 is outside the domain."""
@@ -67,18 +70,6 @@ class RegulatedQuarticIntegral:
     c1: float = 0.0
     c2: float = 0.0
     c3: float = 0.0
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf
-                and 0.0 < self.abs_tol < math.inf):
-            raise ValidationError(
-                "quadrature tolerances must be positive and finite")
 
 
 def log_integral_value(i: RegulatedLogIntegral) -> complex:
@@ -201,14 +192,14 @@ def _kronrod_panel(f, a: float, b: float):
     return result, error
 
 
-def _euclidean_cube_integral(m_sq: float, spec: QuadratureSpec) -> float:
+def _euclidean_cube_integral(m_sq: float) -> float:
     """int d^4k/(2 pi)^4 (k^2+M^2)^-3 = (2 pi^2/(2 pi)^4) int_0^inf
     k^3/(k^2+M^2)^3 dk for M^2 in [ORACLE_MSQ_MIN, ORACLE_MSQ_MAX], by one
     Kronrod panel over k = sqrt(M^2) tan(theta), theta in [0, pi/2).
 
     The mapped integrand is sin^3 cos / M^2 at every M^2, so the error
     estimate sits at its 50 eps floor, where halving the panel cannot lower
-    it; an estimate above the tolerance is a NumericsError.
+    it; an estimate above _REL_TOL or _ABS_TOL is a NumericsError.
     """
     if not ORACLE_MSQ_MIN <= m_sq <= ORACLE_MSQ_MAX:
         raise ValidationError(
@@ -223,7 +214,7 @@ def _euclidean_cube_integral(m_sq: float, spec: QuadratureSpec) -> float:
         return k ** 3 / (k * k + m_sq) ** 3 * scale * (1.0 + t * t)
 
     value, error = _kronrod_panel(mapped, 0.0, 0.5 * math.pi)
-    tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+    tol = max(_ABS_TOL, _REL_TOL * abs(value))
     if error > tol:
         raise NumericsError(
             f"quadrature error estimate {error:.3e} exceeds the tolerance "
@@ -231,24 +222,22 @@ def _euclidean_cube_integral(m_sq: float, spec: QuadratureSpec) -> float:
     return prefactor * value
 
 
-def log_derivative_oracle(m_sq: float,
-                          spec: QuadratureSpec = QuadratureSpec()) -> float:
+def log_derivative_oracle(m_sq: float) -> float:
     """Numeric value of the once-differentiated log integral.
 
     Evaluates 2 (2 pi^2 / (2 pi)^4) * int_0^inf k^3/(k^2+M^2)^3 dk and
     returns it; the closed form is 1/(16 pi^2 M^2).
     """
-    return 2.0 * _euclidean_cube_integral(m_sq, spec)
+    return 2.0 * _euclidean_cube_integral(m_sq)
 
 
-def quartic_third_derivative_oracle(
-        m_sq: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
+def quartic_third_derivative_oracle(m_sq: float) -> float:
     """Numeric value of the thrice-differentiated quartic integral.
 
     Evaluates the Euclidean integral int d^4k/(2 pi)^4 (k^2+M^2)^-3 as a
     radial quadrature; the closed form is 1/(2 (4 pi)^2 M^2).
     """
-    return _euclidean_cube_integral(m_sq, spec)
+    return _euclidean_cube_integral(m_sq)
 
 
 def log_derivative_closed_form(m_sq: float) -> float:

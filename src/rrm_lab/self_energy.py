@@ -160,11 +160,16 @@ def _zeta_scalar_from_ratio(ratio: float, alpha: float) -> float:
         return norm * math.exp(u) * (2.0 * u - 1.0) - rhs
 
     lo, hi = math.log(_ZETA_LO), math.log(_ZETA_HI)
-    if residual(lo) * residual(hi) > 0:
+    # compare signs: the product of the two residuals can underflow to 0.
+    # The residual falls in u, so a root below the bracket leaves both ends
+    # negative and one above it leaves both positive
+    r_lo, r_hi = residual(lo), residual(hi)
+    if (r_lo < 0 and r_hi < 0) or (r_lo > 0 and r_hi > 0):
+        side, edge = ("small", "below") if r_lo < 0 else ("large", "above")
         raise NumericsError(
-            f"no sign change for zeta root on [{_ZETA_LO}, {_ZETA_HI}] "
-            f"(Z^2/n^2 = {ratio})"
-        )
+            f"alpha = {alpha!r} is so {side} that the zeta root for "
+            f"Z^2/n^2 = {ratio} lies {edge} the bracket "
+            f"[{_ZETA_LO}, {_ZETA_HI}]")
     u = hi
     for _ in range(_ZETA_MAX_STEPS):
         slope = norm * math.exp(u) * (2.0 * u + 1.0)

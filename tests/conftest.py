@@ -1,8 +1,11 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+
+from rrm_lab.qed import _loop_shape
 
 CLI = (sys.executable, "-m", "rrm_lab.cli")
 
@@ -25,6 +28,15 @@ def table_text(table):
     return "\n".join(f"name = {s.name}\nmass_gev = {s.mass!r}\n"
                      f"charge = {s.charge}\ncolor = {s.color}\n"
                      for s in table)
+
+
+def massive_beta(alpha_s, q, quarks):
+    """Q d alpha_s/dQ of the mass-retaining model; the exact running in
+    evolve_alpha_s_massive is its integral, so the quadrature tests
+    integrate this as their reference."""
+    flavor_sum = sum(_loop_shape(q / sp.mass) for sp in quarks)
+    return -(alpha_s * alpha_s / (2.0 * math.pi)) \
+        * (11.0 - (2.0 / 3.0) * flavor_sum)
 
 
 def cli_csv(*args):

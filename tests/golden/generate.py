@@ -7,20 +7,24 @@ Usage, from the repository root:
 Every case below runs once per output format through ``rrm_lab.cli.main``
 in this process, the way the test runs it. Its stdout goes to
 ``<case>.<format>`` next to this file, and its argv and exit code go to
-``index.json``. Regenerate only when an output change is intended: the
-committed files are the reference that a refactor must reproduce byte for
-byte.
+``index.json``. The ``--help`` text of the root, of each family and of
+each leaf, at ``COLUMNS=80``, goes to ``help/<command path>.txt``.
+Regenerate only when an output change is intended: the committed files are
+the reference that a refactor must reproduce byte for byte.
 """
 
+import argparse
 import contextlib
 import io
 import json
+import os
 import pathlib
 import sys
 
 from rrm_lab import cli
 
 HERE = pathlib.Path(__file__).resolve().parent
+HELP = HERE / "help"
 FORMATS = ("table", "csv", "json")
 
 # each leaf at least once; both regulator families, both effpot sectors,
@@ -90,7 +94,26 @@ def run(argv):
     return code, out.getvalue()
 
 
+def command_paths(parser, path=()):
+    """The command path of the root, each family and each leaf, in order."""
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from command_paths(child, (*path, name))
+
+
+def help_name(path):
+    return "-".join(("rrm-lab", *path)) + ".txt"
+
+
 def main():
+    os.environ["COLUMNS"] = "80"    # argparse wraps help to the terminal
+    HELP.mkdir(exist_ok=True)
+    for path in command_paths(cli.build_parser()):
+        code, text = run([*path, "--help"])
+        assert code == 0, path
+        (HELP / help_name(path)).write_bytes(text.encode("utf-8"))
     index = {}
     for name, argv in CASES.items():
         for fmt in FORMATS:

@@ -73,6 +73,9 @@ def test_usage_exit_codes():
     assert run_cli("constants", "show", "--quiet").returncode == 64
     assert run_cli("qed", "run", "--qmax", "10", "--rtol",
                    "1e-10").returncode == 64
+    # the oracles' error bound is fixed: no tolerance option
+    assert run_cli("regulator", "oracle", "--family", "log", "--msq", "1",
+                   "--rtol", "1e-10").returncode == 64
 
 
 def test_determinism_byte_identical():
@@ -514,6 +517,9 @@ def test_selfenergy_range_messages(argv, message, capsys):
 
 
 _FLOAT_RANGE = "put the potential outside the float range"
+_G = DEFAULT_CONSTANTS.g_factor
+_MU_INF = ("m_e = 1e+300 and m_n = 1e+300 MeV put the reduced mass "
+           "m_e m_n / (m_e + m_n) outside the float range")
 
 
 @pytest.mark.parametrize("argv,config,message", [
@@ -531,8 +537,26 @@ _FLOAT_RANGE = "put the potential outside the float range"
     (("effpot", "table", "--sigma", "1e-300", "--lambda", "1e300"),
      None, f"phi = 0.0, sigma = 1e-300 and lambda = 1e+300 {_FLOAT_RANGE}"),
     (("selfenergy", "zeta", "--Z", "1", "--n", "1"), "alpha = 1e-300\n",
-     "alpha = 1e-300 is so small that the Newton slope of the zeta root "
-     "underflows to 0 (Z^2/n^2 = 1.0)"),
+     "alpha = 1e-300 is so small that the zeta root for Z^2/n^2 = 1.0 lies "
+     "below the bracket [1e-12, 0.099]"),
+    # mu^3 underflows to 0 in radiative_coefficients
+    (("lamb", "2s2p"), "electron_mass = 1e-300\n",
+     f"mu = 1e-300 MeV and g = {_G!r} put the radiative coefficients "
+     "outside the float range"),
+    (("lamb", "2s2p", "--b2r", "formula"), "electron_mass = 1e-300\n",
+     f"mu = 1e-300 MeV and g = {_G!r} put the radiative coefficients "
+     "outside the float range"),
+    # mu_obs^4 overflows in p4_level_shift
+    (("lamb", "2s2p"), "electron_mass = 1e100\nproton_mass = 1e100\n",
+     "Z = 1, mu_obs = 5e+99 MeV and b2r = 3.7129435406632003e-302 put the "
+     "p^4 level shift outside the float range"),
+    # m_e m_n overflows to inf in reduced_mass
+    (("lamb", "2s2p"), "electron_mass = 1e300\nproton_mass = 1e300\n",
+     _MU_INF),
+    (("lamb", "vp", "--mass", "reduced"),
+     "electron_mass = 1e300\nproton_mass = 1e300\n", _MU_INF),
+    (("lamb", "rde", "--atom", "H", "--transition", "1s2s"),
+     "electron_mass = 1e300\nproton_mass = 1e300\n", _MU_INF),
 ])
 def test_float_range_failure_names_its_input(argv, config, message, tmp_path,
                                              capsys):

@@ -1,8 +1,9 @@
 """Every CLI leaf in every format reproduces its committed output byte for byte.
 
 ``tests/golden/`` holds the stdout and the exit code of each case in each
-output format; ``tests/golden/generate.py`` wrote them and says when to run
-it again. The cases run in-process through ``cli.main``, so the whole file
+output format, and ``tests/golden/help/`` the ``--help`` text of every
+command; ``tests/golden/generate.py`` wrote them and says when to run it
+again. The cases run in-process through ``cli.main``, so the whole file
 takes about a second.
 """
 
@@ -30,13 +31,20 @@ def test_golden_output(name, capsys):
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
-def _leaves(parser, path=()):
+def _commands(parser, path=()):
+    """(command path, parser) of the root, each family and each leaf."""
+    yield path, parser
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, child in action.choices.items():
-                yield from _leaves(child, (*path, name))
-            return
-    yield path, parser
+                yield from _commands(child, (*path, name))
+
+
+def _leaves(parser):
+    for path, p in _commands(parser):
+        if not any(isinstance(a, argparse._SubParsersAction)
+                   for a in p._actions):
+            yield path, p
 
 
 def test_every_leaf_and_format_has_golden_output():
@@ -53,3 +61,26 @@ def test_every_leaf_and_format_has_golden_output():
         missing += [f"{' '.join(path)} --format {fmt}" for fmt in formats
                     if (path, fmt) not in covered]
     assert not missing, missing
+
+
+HELP = GOLDEN / "help"
+_COMMANDS = [path for path, _ in _commands(cli.build_parser())]
+
+
+def _help_file(path):
+    return HELP / ("-".join(("rrm-lab", *path)) + ".txt")
+
+
+def test_every_command_has_golden_help():
+    assert sorted(HELP.iterdir()) == sorted(map(_help_file, _COMMANDS))
+
+
+@pytest.mark.parametrize("path", _COMMANDS,
+                         ids=lambda path: " ".join(("rrm-lab", *path)))
+def test_golden_help(path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")    # argparse wraps to the terminal
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*path, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.encode("utf-8") == \
+        _help_file(path).read_bytes()

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 
 from rrm_lab.constants import DEFAULT_CONSTANTS
-from rrm_lab.errors import ValidationError
+from rrm_lab.errors import NumericsError, ValidationError
 from rrm_lab.lamb import (
     AtomConfig,
     bohr_binding,
@@ -171,3 +171,44 @@ def test_uehling_frozen():
 def test_uehling_supports_default_vp():
     # the shipped -27.13 MHz default is the rounded Uehling 2S value
     assert abs(uehling_2s_shift(C.electron_mass, C) - (-27.13)) < 0.01
+
+
+_2S = AtomConfig(z=1, nuclear_mass=C.proton_mass, n=2, l=0, j=0.5)
+_FLOAT_RANGE = "outside the float range"
+
+
+@pytest.mark.parametrize("call,message,cause", [
+    # m_e m_n overflows to inf, or underflows to 0 though mu does not
+    (lambda: reduced_mass(1e300, 1e300),
+     "m_e = 1e+300 and m_n = 1e+300 MeV put the reduced mass "
+     "m_e m_n / (m_e + m_n)", None),
+    (lambda: reduced_mass(1e-200, 1e-200),
+     "m_e = 1e-200 and m_n = 1e-200 MeV put the reduced mass "
+     "m_e m_n / (m_e + m_n)", None),
+    # mu^3 underflows to 0, is subnormal so 1/mu^3 overflows, or overflows
+    (lambda: radiative_coefficients(1e-300, C.g_factor, "frozen_constant"),
+     f"mu = 1e-300 MeV and g = {C.g_factor!r} put the radiative "
+     "coefficients", ZeroDivisionError),
+    (lambda: radiative_coefficients(1e-105, C.g_factor, "formula"),
+     f"mu = 1e-105 MeV and g = {C.g_factor!r} put the radiative "
+     "coefficients", OverflowError),
+    (lambda: radiative_coefficients(5e149, C.g_factor, "formula"),
+     f"mu = 5e+149 MeV and g = {C.g_factor!r} put the radiative "
+     "coefficients", OverflowError),
+    (lambda: radiative_coefficients(1.0, 1e200, "formula"),
+     "mu = 1.0 MeV and g = 1e+200 put the radiative coefficients",
+     OverflowError),
+    # mu_obs^4 overflows, or b2r times the bracket is inf and mu_obs^4 is 0
+    (lambda: p4_level_shift(_2S, 5e99, 3.7e-302),
+     "Z = 1, mu_obs = 5e+99 MeV and b2r = 3.7e-302 put the p^4 level shift",
+     OverflowError),
+    (lambda: p4_level_shift(_2S, 5e-104, 3.7e307),
+     "Z = 1, mu_obs = 5e-104 MeV and b2r = 3.7e+307 put the p^4 level "
+     "shift", OverflowError),
+])
+def test_float_range_error_names_its_input(call, message, cause):
+    with pytest.raises(NumericsError) as err:
+        call()
+    assert str(err.value) == f"{message} {_FLOAT_RANGE}"
+    assert type(err.value.__cause__) is (type(None) if cause is None
+                                          else cause)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import table_text
+from conftest import massive_beta, table_text
 from rrm_lab import lamb, potential, qcd, qed, regulator, self_energy
 from rrm_lab.constants import (
     DEFAULT_CONSTANTS,
@@ -202,8 +202,7 @@ def test_running_matches_quadrature_of_beta():
 
 
 def test_massive_running_matches_quadrature_of_beta():
-    from rrm_lab.qcd import MassiveQcdModel, _massive_beta, \
-        evolve_alpha_s_massive
+    from rrm_lab.qcd import MassiveQcdModel, evolve_alpha_s_massive
     table = default_particle_table()
     quarks = table.quarks()
     for anchor, q_min in ((0.118, 0.3), (0.112, 2.0)):
@@ -211,7 +210,7 @@ def test_massive_running_matches_quadrature_of_beta():
         res = evolve_alpha_s_massive(model, q_min, constants=C)
         down = [q for q, _ in reversed(res.curve.samples)]
         ref = _quadrature_running(
-            down, lambda q: -_massive_beta(1.0, q, quarks), 1.0 / anchor)
+            down, lambda q: -massive_beta(1.0, q, quarks), 1.0 / anchor)
         for (q, a), inv in zip(reversed(res.curve.samples), ref):
             assert 1.0 / a == pytest.approx(inv, rel=1e-9), q
 
@@ -483,9 +482,6 @@ NON_FINITE_CALLS = {
     "regulator.quartic_integral_value c3":
         lambda v: regulator.quartic_integral_value(
             regulator.RegulatedQuarticIntegral(1.0, c3=v)),
-    "regulator.QuadratureSpec": regulator.QuadratureSpec,
-    "regulator.QuadratureSpec abs_tol":
-        lambda v: regulator.QuadratureSpec(abs_tol=v),
     "regulator.log_derivative_oracle": regulator.log_derivative_oracle,
     "regulator.log_derivative_closed_form":
         regulator.log_derivative_closed_form,

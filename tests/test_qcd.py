@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from conftest import massive_beta
 from rrm_lab.constants import DEFAULT_CONSTANTS, default_particle_table
 from rrm_lab.errors import NumericsError, ValidationError
 from rrm_lab.qcd import (
@@ -160,7 +161,6 @@ def test_blow_up_reports_the_4pi_crossing():
     # independent quadrature of the beta from the Z mass down to it
     from scipy.integrate import quad
 
-    from rrm_lab.qcd import _massive_beta
     quarks = default_particle_table().quarks()
     for anchor, flavor, q_min in ((0.118, "u", 0.15), (0.2, "c", 0.5),
                                   (0.118, "b", 1e-300)):
@@ -171,7 +171,7 @@ def test_blow_up_reports_the_4pi_crossing():
         last_q = float(re.search(r"last valid Q = (\S+) GeV",
                                  str(err.value)).group(1))
         assert q_min < last_q < C.m_z_strong
-        rise, _ = quad(lambda t: -_massive_beta(1.0, math.exp(t), quarks),
+        rise, _ = quad(lambda t: -massive_beta(1.0, math.exp(t), quarks),
                        math.log(C.m_z_strong), math.log(last_q),
                        epsabs=0.0, epsrel=1e-13, limit=200)
         assert 1.0 / anchor + rise == pytest.approx(1.0 / (4.0 * math.pi),

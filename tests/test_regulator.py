@@ -7,7 +7,6 @@ from rrm_lab import regulator
 from rrm_lab.errors import NumericsError, ValidationError
 from rrm_lab.regulator import (
     KAPPA,
-    QuadratureSpec,
     RegulatedLogIntegral,
     RegulatedQuarticIntegral,
     log_derivative_closed_form,
@@ -104,12 +103,18 @@ def test_closed_forms():
     assert quartic_third_derivative_closed_form(2.0) == KAPPA / 2.0
 
 
-def test_quadrature_failure_reported():
-    # tolerance below what one panel can certify
-    starved = QuadratureSpec(rel_tol=1e-16, abs_tol=1e-300)
+def _set_bound(monkeypatch, rel_tol=1e-16, abs_tol=1e-300):
+    # the oracles' error bound is a module constant; by default this sets
+    # it below what one panel can certify
+    monkeypatch.setattr(regulator, "_REL_TOL", rel_tol)
+    monkeypatch.setattr(regulator, "_ABS_TOL", abs_tol)
+
+
+def test_quadrature_failure_reported(monkeypatch):
+    _set_bound(monkeypatch)
     with pytest.raises(NumericsError, match="error estimate .* exceeds the "
                                             "tolerance"):
-        log_derivative_oracle(1.0, starved)
+        log_derivative_oracle(1.0)
 
 
 def test_starved_tolerance_fails_after_one_panel(monkeypatch):
@@ -123,8 +128,9 @@ def test_starved_tolerance_fails_after_one_panel(monkeypatch):
         return panel(f, a, b)
 
     monkeypatch.setattr(regulator, "_kronrod_panel", counted)
+    _set_bound(monkeypatch)
     with pytest.raises(NumericsError):
-        log_derivative_oracle(1.0, QuadratureSpec(1e-16, 1e-300))
+        log_derivative_oracle(1.0)
     assert calls == [(0.0, 0.5 * math.pi)]
 
 
@@ -132,15 +138,17 @@ def test_starved_tolerance_fails_after_one_panel(monkeypatch):
     (log_derivative_oracle, log_derivative_closed_form),
     (quartic_third_derivative_oracle, quartic_third_derivative_closed_form),
 ])
-def test_one_panel_error_floor(oracle, closed):
+def test_one_panel_error_floor(oracle, closed, monkeypatch):
     # the mapped integrand is sin^3 cos / M^2 at every M^2, so the panel's
     # estimate is 50 eps = 1.11e-14 relative across the whole range
     for e in range(-90, 91, 5):
         m_sq = 10.0 ** e
-        value = oracle(m_sq, QuadratureSpec(1.2e-14, 1e-300))
+        _set_bound(monkeypatch, rel_tol=1.2e-14)
+        value = oracle(m_sq)
         assert value == pytest.approx(closed(m_sq), rel=1e-14, abs=0)
+        _set_bound(monkeypatch, rel_tol=1.0e-14)
         with pytest.raises(NumericsError):
-            oracle(m_sq, QuadratureSpec(1.0e-14, 1e-300))
+            oracle(m_sq)
 
 
 def test_kronrod_oracle_on_random_masses():

@@ -173,9 +173,52 @@ def test_sigma_coefficients_near_shell_match_mpmath(k):
 
 
 def test_zeta_slope_underflow_names_alpha():
-    # alpha = 1e-300: Newton's slope norm e^u (2u + 1) underflows to 0
+    # alpha = 1e-300: Newton's slope norm e^u (2u + 1) underflowed to 0
+    # once the product of the bracket's residuals had underflowed too; the
+    # signs are compared now, so the bracket test names alpha first
     with pytest.raises(NumericsError) as err:
         zeta_row(1.0, dataclasses.replace(C, alpha=1e-300))
-    assert str(err.value) == ("alpha = 1e-300 is so small that the Newton "
-                              "slope of the zeta root underflows to 0 "
-                              "(Z^2/n^2 = 1.0)")
+    assert str(err.value) == ("alpha = 1e-300 is so small that the zeta "
+                              "root for Z^2/n^2 = 1.0 lies below the "
+                              "bracket [1e-12, 0.099]")
+
+
+@pytest.mark.parametrize("alpha,side,edge", [
+    # 1e-200 and 1e-160 ran 100 Newton steps on a bracket with no root
+    (1e-200, "small", "below"), (1e-160, "small", "below"),
+    (1e-100, "small", "below"), (1e-12, "small", "below"),
+    (0.1, "large", "above"), (10.0, "large", "above"),
+])
+def test_zeta_root_outside_bracket_names_alpha(alpha, side, edge):
+    with pytest.raises(NumericsError) as err:
+        zeta_row(1.0, dataclasses.replace(C, alpha=alpha))
+    assert str(err.value) == (f"alpha = {alpha!r} is so {side} that the "
+                              f"zeta root for Z^2/n^2 = 1.0 lies {edge} the "
+                              "bracket [1e-12, 0.099]")
+
+
+def _zeta_s_mp(ratio, alpha):
+    # norm zeta (2 ln zeta - 1) = -ratio alpha^2 / 2 with zeta = e^(1/2 + v)
+    # is v e^v = -pi r alpha (1 + alpha/3 pi)/sqrt(e); the small root is the
+    # W_{-1} branch
+    with mpmath.workdps(50):
+        r, a = mpmath.mpf(ratio), mpmath.mpf(alpha)
+        k = -mpmath.pi * r * a * (1 + a / (3 * mpmath.pi)) / mpmath.sqrt(
+            mpmath.e)
+        return mpmath.exp(mpmath.mpf(0.5) + mpmath.lambertw(k, -1).real)
+
+
+@pytest.mark.parametrize("alpha", [C.alpha, 1e-9, 1e-3, 0.05])
+def test_zeta_row_matches_lambert_w(alpha):
+    # Z^2/n^2 = 1/n^2, n = 1..400. With alpha = 1e-9 the root leaves the
+    # bracket's lower end 1e-12 from n = 11 on, and zeta_row must say so
+    constants = dataclasses.replace(C, alpha=alpha)
+    for n in range(1, 401):
+        ratio = 1.0 / (n * n)
+        ref = _zeta_s_mp(ratio, alpha)
+        if ref < 1e-12:
+            with pytest.raises(NumericsError, match="lies below the bracket"):
+                zeta_row(ratio, constants)
+            continue
+        assert zeta_row(ratio, constants).zeta_s == pytest.approx(
+            float(ref), rel=3e-15, abs=0), n
