@@ -3,12 +3,16 @@
 Usage, from the repository root:
 
     PYTHONPATH=src python tests/golden/generate.py
+    PYTHONPATH=src python tests/golden/generate.py --digests [FAMILY ...]
 
 Every case below runs once per output format through ``rrm_lab.cli.main``
 in this process, the way the test runs it. Its stdout goes to
 ``<case>.<format>`` next to this file, and its argv and exit code go to
 ``index.json``. The ``--help`` text of the root, of each family and of
 each leaf, at ``COLUMNS=80``, goes to ``help/<command path>.txt``.
+With ``--digests`` it writes nothing of that, and instead rewrites the
+sha256 of each named kernel family of ``tests/test_digests.py`` (every
+family when none is named) in ``digests.json``.
 Regenerate only when an output change is intended: the committed files are
 the reference that a refactor must reproduce byte for byte.
 """
@@ -107,7 +111,27 @@ def help_name(path):
     return "-".join(("rrm-lab", *path)) + ".txt"
 
 
-def main():
+def write_digests(families):
+    sys.path.insert(0, str(HERE.parent))
+    from test_digests import DIGESTS, FAMILIES, digest
+    unknown = set(families) - set(FAMILIES)
+    if unknown:
+        raise SystemExit(f"unknown digest families: {sorted(unknown)}")
+    expected = (json.loads(DIGESTS.read_text(encoding="utf-8"))
+                if DIGESTS.exists() else {})
+    for family in families or FAMILIES:
+        expected[family] = digest(family)
+    DIGESTS.write_text(json.dumps(dict(sorted(expected.items())), indent=1)
+                       + "\n", encoding="utf-8")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--digests", nargs="*", metavar="FAMILY")
+    families = parser.parse_args(argv).digests
+    if families is not None:
+        write_digests(families)
+        return 0
     os.environ["COLUMNS"] = "80"    # argparse wraps help to the terminal
     HELP.mkdir(exist_ok=True)
     for path in command_paths(cli.build_parser()):
