@@ -7,25 +7,28 @@ integral. On-shell reconfirmation of the mass (delta_m = 0) fixes mu2 and
 the wave-function factor Z2. Off the mass shell, p^2 = mu^2 (1 - zeta)
 defines a small parameter zeta; four bracketing schemes for zeta are
 computed per table row.
+
+The scalar scheme's condition (alpha/4 pi)(2 zeta ln zeta - zeta)/(1 +
+alpha/3 pi) = -r alpha^2/2, r = Z^2/n^2, has the closed-form root
+zeta_s = -k/W_{-1}(-k/sqrt(e)), k = pi r alpha (1 + alpha/3 pi) (Corless et
+al., Adv. Comput. Math. 5 (1996) 329). A root above 0.099, where the
+small-zeta expansion ends, or a k or zeta_s zeta_v that is not a normal
+float, is a NumericsError naming alpha and Z^2/n^2.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import NumericsError, ValidationError
 
-# root bracket for the scalar-scheme zeta; f is monotone on it
-_ZETA_LO = 1e-12
+# the small-zeta expansion holds up to this scalar-scheme zeta, where
+# k = zeta (1/2 - ln zeta), rising in zeta, reaches _K_MAX
 _ZETA_HI = 0.099
-# Newton stops once a step in u = ln zeta is below this; from the upper
-# end, the lowest root in the bracket takes about 30 steps. The step cap is
-# a guard only: PhysicalConstants refuses a non-finite alpha, and no finite
-# alpha or ratio is known to reach it
-_ZETA_UTOL = 1e-14
-_ZETA_MAX_STEPS = 100
+_K_MAX = _ZETA_HI * (0.5 - math.log(_ZETA_HI))
 
 
 @dataclass(frozen=True)
@@ -146,45 +149,18 @@ def delta_mu_off_shell(zeta: float, mu: float,
     ) / (1.0 + alpha / (3.0 * math.pi))
 
 
-def _zeta_scalar_from_ratio(ratio: float, alpha: float) -> float:
-    # Solve (alpha/4pi)(-z + 2 z ln z)/(1 + alpha/3pi) = -ratio alpha^2 / 2
-    # for z = e^u; in u the left side is norm e^u (2u - 1), with derivative
-    # norm e^u (2u + 1) < 0 and curvature norm e^u (2u + 3) < 0 on the
-    # bracket. Newton's method started at the upper end of a decreasing,
-    # concave residual stays right of the root and descends to it
-    # monotonically, so no bracketing safeguard is needed.
-    rhs = -0.5 * ratio * alpha * alpha
-    norm = (alpha / (4.0 * math.pi)) / (1.0 + alpha / (3.0 * math.pi))
-
-    def residual(u):
-        return norm * math.exp(u) * (2.0 * u - 1.0) - rhs
-
-    lo, hi = math.log(_ZETA_LO), math.log(_ZETA_HI)
-    # compare signs: the product of the two residuals can underflow to 0.
-    # The residual falls in u, so a root below the bracket leaves both ends
-    # negative and one above it leaves both positive
-    r_lo, r_hi = residual(lo), residual(hi)
-    if (r_lo < 0 and r_hi < 0) or (r_lo > 0 and r_hi > 0):
-        side, edge = ("small", "below") if r_lo < 0 else ("large", "above")
-        raise NumericsError(
-            f"alpha = {alpha!r} is so {side} that the zeta root for "
-            f"Z^2/n^2 = {ratio} lies {edge} the bracket "
-            f"[{_ZETA_LO}, {_ZETA_HI}]")
-    u = hi
-    for _ in range(_ZETA_MAX_STEPS):
-        slope = norm * math.exp(u) * (2.0 * u + 1.0)
-        if slope == 0.0:
-            raise NumericsError(
-                f"alpha = {alpha!r} is so small that the Newton slope of "
-                f"the zeta root underflows to 0 (Z^2/n^2 = {ratio})")
-        step = residual(u) / slope
-        u -= step
-        if abs(step) < _ZETA_UTOL:
-            return math.exp(u)
-    raise NumericsError(
-        f"zeta root not converged in {_ZETA_MAX_STEPS} Newton steps "
-        f"(Z^2/n^2 = {ratio})"
-    )
+def _lambert_w_lower(x: float) -> float:
+    # W_{-1}(x) for x in [-0.169, 0), where zeta_s <= 0.099: from the
+    # asymptotic start l1 - l2 + l2/l1 of Corless et al., three Halley steps
+    # on w e^w = x reach 1 ulp
+    l1 = math.log(-x)
+    l2 = math.log(-l1)
+    w = l1 - l2 + l2 / l1
+    for _ in range(3):
+        e = math.exp(w)
+        f = w * e - x
+        w -= f / (e * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+    return w
 
 
 def zeta_row(ratio, constants: PhysicalConstants = DEFAULT_CONSTANTS
@@ -194,8 +170,21 @@ def zeta_row(ratio, constants: PhysicalConstants = DEFAULT_CONSTANTS
     if not 0.0 < r <= 1.0:
         raise ValidationError("Z^2/n^2 must lie in (0, 1]")
     alpha = constants.alpha
-    zs = _zeta_scalar_from_ratio(r, alpha)
+    # with zeta = e^(1/2 + w) the scalar condition is w e^w = -k/sqrt(e)
+    k = math.pi * r * alpha * (1.0 + alpha / (3.0 * math.pi))
+    if k > _K_MAX:
+        raise NumericsError(
+            f"alpha = {alpha!r} is so large that the zeta root for "
+            f"Z^2/n^2 = {r} lies above {_ZETA_HI}, the end of the "
+            "small-zeta domain")
+    # W is taken of a normal k only. zs zv lies below each factor except
+    # near the domain's end, so a normal product means a normal zs and zv
+    zs = (-k / _lambert_w_lower(-k / math.sqrt(math.e))
+          if k >= sys.float_info.min else 0.0)
     zv = 2.0 * r * alpha * alpha
+    if zs * zv < sys.float_info.min:
+        raise NumericsError(f"alpha = {alpha!r} and Z^2/n^2 = {r} put the "
+                            "zeta schemes outside the float range")
     mean = 0.5 * (zs + zv)
     geo = math.sqrt(zs * zv)
     return ZetaRow(

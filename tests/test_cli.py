@@ -536,9 +536,10 @@ _MU_INF = ("m_e = 1e+300 and m_n = 1e+300 MeV put the reduced mass "
      None, f"sigma = 1e+200 and lambda = 1.0 {_FLOAT_RANGE}"),
     (("effpot", "table", "--sigma", "1e-300", "--lambda", "1e300"),
      None, f"phi = 0.0, sigma = 1e-300 and lambda = 1e+300 {_FLOAT_RANGE}"),
+    # zeta_v = 2 alpha^2 Z^2/n^2 underflows; the bracket test named alpha
     (("selfenergy", "zeta", "--Z", "1", "--n", "1"), "alpha = 1e-300\n",
-     "alpha = 1e-300 is so small that the zeta root for Z^2/n^2 = 1.0 lies "
-     "below the bracket [1e-12, 0.099]"),
+     "alpha = 1e-300 and Z^2/n^2 = 1.0 put the zeta schemes outside the "
+     "float range"),
     # mu^3 underflows to 0 in radiative_coefficients
     (("lamb", "2s2p"), "electron_mass = 1e-300\n",
      f"mu = 1e-300 MeV and g = {_G!r} put the radiative coefficients "

@@ -125,9 +125,13 @@ def test_zeta_solver_residual():
 
 
 def test_zeta_solver_out_of_bracket():
-    # at alpha = 0.5 the rhs lies far below anything the bracket can reach
-    with pytest.raises(NumericsError):
+    # at alpha = 0.5 the root lies above zeta = 0.099, the upper end of the
+    # old Newton bracket and of the small-zeta domain that replaced it
+    with pytest.raises(NumericsError) as err:
         zeta_row(1.0, dataclasses.replace(C, alpha=0.5))
+    assert str(err.value) == ("alpha = 0.5 is so large that the zeta root "
+                              "for Z^2/n^2 = 1.0 lies above 0.099, the end "
+                              "of the small-zeta domain")
 
 
 def test_zeta_table_layout():
@@ -173,28 +177,37 @@ def test_sigma_coefficients_near_shell_match_mpmath(k):
 
 
 def test_zeta_slope_underflow_names_alpha():
-    # alpha = 1e-300: Newton's slope norm e^u (2u + 1) underflowed to 0
-    # once the product of the bracket's residuals had underflowed too; the
-    # signs are compared now, so the bracket test names alpha first
+    # alpha = 1e-300: Newton's slope norm e^u (2u + 1) once underflowed to
+    # 0 here. The root needs no slope now, but zeta_v = 2 r alpha^2
+    # underflows, and the error names alpha and Z^2/n^2
     with pytest.raises(NumericsError) as err:
         zeta_row(1.0, dataclasses.replace(C, alpha=1e-300))
-    assert str(err.value) == ("alpha = 1e-300 is so small that the zeta "
-                              "root for Z^2/n^2 = 1.0 lies below the "
-                              "bracket [1e-12, 0.099]")
+    assert str(err.value) == ("alpha = 1e-300 and Z^2/n^2 = 1.0 put the "
+                              "zeta schemes outside the float range")
 
 
-@pytest.mark.parametrize("alpha,side,edge", [
-    # 1e-200 and 1e-160 ran 100 Newton steps on a bracket with no root
-    (1e-200, "small", "below"), (1e-160, "small", "below"),
-    (1e-100, "small", "below"), (1e-12, "small", "below"),
-    (0.1, "large", "above"), (10.0, "large", "above"),
+@pytest.mark.parametrize("alpha,ratio", [
+    # 1e-200 and 1e-160 once ran 100 Newton steps on a bracket with no root
+    (1e-200, 1.0), (1e-160, 1.0),
+    # zeta_s zeta_v underflows though zeta_v alone does not
+    (1e-103, 1.0),
+    # k = pi r alpha (1 + alpha/3 pi) underflows, and W is not taken
+    (1e-320, 1.0), (C.alpha, 1e-310),
 ])
-def test_zeta_root_outside_bracket_names_alpha(alpha, side, edge):
+def test_zeta_float_range_names_alpha_and_ratio(alpha, ratio):
+    with pytest.raises(NumericsError) as err:
+        zeta_row(ratio, dataclasses.replace(C, alpha=alpha))
+    assert str(err.value) == (f"alpha = {alpha!r} and Z^2/n^2 = {ratio} put "
+                              "the zeta schemes outside the float range")
+
+
+@pytest.mark.parametrize("alpha", [0.1, 10.0])
+def test_zeta_root_above_domain_names_alpha(alpha):
     with pytest.raises(NumericsError) as err:
         zeta_row(1.0, dataclasses.replace(C, alpha=alpha))
-    assert str(err.value) == (f"alpha = {alpha!r} is so {side} that the "
-                              f"zeta root for Z^2/n^2 = 1.0 lies {edge} the "
-                              "bracket [1e-12, 0.099]")
+    assert str(err.value) == (f"alpha = {alpha!r} is so large that the zeta "
+                              "root for Z^2/n^2 = 1.0 lies above 0.099, the "
+                              "end of the small-zeta domain")
 
 
 def _zeta_s_mp(ratio, alpha):
@@ -210,15 +223,22 @@ def _zeta_s_mp(ratio, alpha):
 
 @pytest.mark.parametrize("alpha", [C.alpha, 1e-9, 1e-3, 0.05])
 def test_zeta_row_matches_lambert_w(alpha):
-    # Z^2/n^2 = 1/n^2, n = 1..400. With alpha = 1e-9 the root leaves the
-    # bracket's lower end 1e-12 from n = 11 on, and zeta_row must say so
+    # Z^2/n^2 = 1/n^2, n = 1..400. With alpha = 1e-9 the root falls below
+    # the old bracket's lower end 1e-12 from n = 11 on; it has no lower end
     constants = dataclasses.replace(C, alpha=alpha)
     for n in range(1, 401):
         ratio = 1.0 / (n * n)
-        ref = _zeta_s_mp(ratio, alpha)
-        if ref < 1e-12:
-            with pytest.raises(NumericsError, match="lies below the bracket"):
-                zeta_row(ratio, constants)
-            continue
         assert zeta_row(ratio, constants).zeta_s == pytest.approx(
-            float(ref), rel=3e-15, abs=0), n
+            float(_zeta_s_mp(ratio, alpha)), rel=1e-15, abs=0), n
+
+
+@pytest.mark.parametrize("alpha", [1e-100, 1e-12])
+def test_zeta_row_below_the_old_bracket(alpha):
+    # the bracket [1e-12, 0.099] refused these; the root lies below 1e-12
+    constants = dataclasses.replace(C, alpha=alpha)
+    for n in (1, 2, 10):
+        ratio = 1.0 / (n * n)
+        ref = _zeta_s_mp(ratio, alpha)
+        assert ref < 1e-12
+        assert zeta_row(ratio, constants).zeta_s == pytest.approx(
+            float(ref), rel=1e-15, abs=0), n
