@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
@@ -64,6 +65,14 @@ def parse_finite(text: str):
     except ValueError:
         return None
     return value if math.isfinite(value) else None
+
+
+def _log_ratio(a: float, b: float) -> float:
+    """ln(a/b) for positive a and b, also where a/b is not a normal float."""
+    ratio = a / b
+    if sys.float_info.min <= ratio < math.inf:
+        return math.log(ratio)
+    return math.log(a) - math.log(b)
 
 
 def load_config(path) -> PhysicalConstants:

@@ -11,6 +11,7 @@ external inputs with defaults rederived here (see uehling_2s_shift).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
@@ -73,8 +74,11 @@ def _outside_float_range(names_values: str, what: str) -> NumericsError:
 def reduced_mass(m_e: float, m_n: float) -> float:
     if not (0.0 < m_e < math.inf and 0.0 < m_n < math.inf):
         raise ValidationError("masses must be positive and finite")
-    mu = m_e * m_n / (m_e + m_n)
-    if not 0.0 < mu < math.inf:  # the product m_e m_n under- or overflows
+    product = m_e * m_n
+    mu = product / (m_e + m_n)
+    # a product or mu below the normal range keeps only some of its digits
+    if not (sys.float_info.min <= product < math.inf
+            and mu >= sys.float_info.min):
         raise _outside_float_range(f"m_e = {m_e!r} and m_n = {m_n!r} MeV",
                                    "reduced mass m_e m_n / (m_e + m_n)")
     return mu

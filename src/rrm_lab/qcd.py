@@ -19,18 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import DEFAULT_CONSTANTS, ParticleTable, PhysicalConstants
-from .errors import NumericsError, ValidationError
-from .qed import (
-    DEFAULT_SAMPLES,
-    CouplingCurve,
-    _increasing_root,
-    _log_grid,
+from .constants import (
+    DEFAULT_CONSTANTS,
+    ParticleTable,
+    PhysicalConstants,
     _log_ratio,
-    _loop_sum,
-    _shape_sum,
-    loop_integral,
 )
+from .errors import NumericsError, ValidationError
 
 HBARC_GEV_FM = 0.19733        # hbar c in GeV fm
 
@@ -146,6 +141,16 @@ def evolve_alpha_s_massive(model: MassiveQcdModel, q_min: float,
     11 - (2/3) sum_q h is at least 7, so alpha_s falls monotonically in Q
     and lambda_peak/alpha_max are always None.
     """
+    # the loop kernels live in qed; only this evolution loads them
+    from .qed import (
+        DEFAULT_SAMPLES,
+        CouplingCurve,
+        _increasing_root,
+        _log_grid,
+        _loop_sum,
+        _shape_sum,
+        loop_integral,
+    )
     if not q_min > 0:
         raise ValidationError("q_min must be positive")
     m_z = constants.m_z_strong

@@ -19,7 +19,6 @@ _loop_sum and _shape_sum; qcd runs alpha_s through the same two.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .constants import (
@@ -27,6 +26,7 @@ from .constants import (
     MAX_SAMPLES,
     ParticleTable,
     PhysicalConstants,
+    _log_ratio,
 )
 from .errors import NumericsError, ValidationError
 
@@ -145,14 +145,6 @@ def beta_total(alpha: float, q: float, model: BetaModel) -> float:
         raise ValidationError("Q must be nonnegative and finite")
     return _QED_SLOPE * alpha * alpha * _shape_sum(
         [(float(sp.charge_weight), sp.mass, None) for sp in model.table], q)
-
-
-def _log_ratio(a: float, b: float) -> float:
-    """ln(a/b) for positive a and b, also where a/b is not a normal float."""
-    ratio = a / b
-    if sys.float_info.min <= ratio < math.inf:
-        return math.log(ratio)
-    return math.log(a) - math.log(b)
 
 
 def _log_grid(q_lo: float, q_hi: float, n: int) -> list:

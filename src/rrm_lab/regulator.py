@@ -93,7 +93,14 @@ def quartic_integral_value(i: RegulatedQuarticIntegral) -> complex:
     Real for M^2 > 0 and real constants; complex for M^2 < 0 through the
     principal branch of the logarithm.
     """
-    return _quartic_value(i.m_sq, principal_log_msq(i.m_sq), i.c1, i.c2, i.c3)
+    try:
+        return _quartic_value(i.m_sq, principal_log_msq(i.m_sq),
+                              i.c1, i.c2, i.c3)
+    except OverflowError as exc:
+        raise NumericsError(
+            f"M^2 = {i.m_sq!r}, c1 = {i.c1!r}, c2 = {i.c2!r} and "
+            f"c3 = {i.c3!r} put the quartic integral outside the float "
+            "range") from exc
 
 
 def _quartic_value(m_sq: float, log_m2: complex, c1, c2, c3) -> complex:
@@ -110,6 +117,9 @@ def _quartic_value(m_sq: float, log_m2: complex, c1, c2, c3) -> complex:
         + c2 * m_sq
         + c3
     )
+    if not cmath.isfinite(bracket):
+        # float * and + overflow without raising; the callers name inputs
+        raise OverflowError("the quartic closed form overflows")
     return KAPPA * bracket
 
 

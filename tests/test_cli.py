@@ -227,12 +227,14 @@ FAMILY_MODULES = {
     "regulator": {"regulator"},
     "selfenergy": {"self_energy"},
     "qed": {"qed"},
-    "qcd": {"qcd", "qed"},
+    "qcd": {"qcd"},
     "effpot": {"potential", "regulator"},
     "lamb": {"lamb"},
     "constants": set(),
     "fixtures": {"fixtures"},
 }
+# a leaf that needs more than its family's own module
+LEAF_MODULES = {("qcd", "run"): {"qcd", "qed"}}
 
 
 # what importlib.resources drags in; reading the bundled data needs none
@@ -252,12 +254,7 @@ def _loaded_after(code, *args, flags=()):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize(
-    "family", sorted({path[0] for path, _ in _leaves(cli.build_parser())})
-)
-def test_command_loads_only_its_family(family):
-    argv = next(case["argv"] for _, case in sorted(INDEX.items())
-                if case["argv"][0] == family and case["exit"] == 0)
+def _modules_loaded_by(argv):
     code = """
 import contextlib, io, json, sys
 from rrm_lab import cli
@@ -271,9 +268,23 @@ print(json.dumps([code, sorted(m for m in sys.modules
     exit_code, loaded, data_reader = _loaded_after(
         code, json.dumps(argv), *DATA_READER_MODULES, flags=("-S",))
     assert exit_code == 0
-    own = {"cli", "constants", "errors"} | FAMILY_MODULES[family]
-    assert loaded == sorted(f"rrm_lab.{m}" for m in own)
     assert data_reader == []
+    return loaded
+
+
+@pytest.mark.parametrize(
+    "family", sorted({path[0] for path, _ in _leaves(cli.build_parser())})
+)
+def test_command_loads_only_its_family(family):
+    # a fresh interpreter per leaf: the first successful golden case of each
+    leaves = {}
+    for _, case in sorted(INDEX.items()):
+        if case["argv"][0] == family and case["exit"] == 0:
+            leaves.setdefault(tuple(case["argv"][:2]), case["argv"])
+    for leaf, argv in leaves.items():
+        own = LEAF_MODULES.get(leaf, FAMILY_MODULES[family])
+        assert _modules_loaded_by(argv) == sorted(
+            f"rrm_lab.{m}" for m in {"cli", "constants", "errors", *own}), leaf
 
 
 def test_package_import_loads_no_submodule():
@@ -520,6 +531,8 @@ _FLOAT_RANGE = "put the potential outside the float range"
 _G = DEFAULT_CONSTANTS.g_factor
 _MU_INF = ("m_e = 1e+300 and m_n = 1e+300 MeV put the reduced mass "
            "m_e m_n / (m_e + m_n) outside the float range")
+_MU_SUBNORMAL = ("m_e = 1e-160 and m_n = 1e-160 MeV put the reduced mass "
+                 "m_e m_n / (m_e + m_n) outside the float range")
 
 
 @pytest.mark.parametrize("argv,config,message", [
@@ -558,6 +571,26 @@ _MU_INF = ("m_e = 1e+300 and m_n = 1e+300 MeV put the reduced mass "
      "electron_mass = 1e300\nproton_mass = 1e300\n", _MU_INF),
     (("lamb", "rde", "--atom", "H", "--transition", "1s2s"),
      "electron_mass = 1e300\nproton_mass = 1e300\n", _MU_INF),
+    # the quartic bracket overflows though phi^4 does not: these ended in
+    # "re_v = inf is not finite" and "v = (inf+nanj) is not finite"
+    (("effpot", "value", "--sigma", "1", "--lambda", "1", "--phi", "1e77"),
+     None, f"phi = 1e+77, sigma = 1.0 and lambda = 1.0 {_FLOAT_RANGE}"),
+    (("effpot", "derivs", "--sigma", "1", "--lambda", "1", "--phi", "1e77"),
+     None, f"phi = 1e+77, sigma = 1.0 and lambda = 1.0 {_FLOAT_RANGE}"),
+    # M^4 overflows; this ended in "value = (nan+nanj) is not finite"
+    (("regulator", "value", "--family", "quartic", "--msq", "1e200"), None,
+     "M^2 = 1e+200, c1 = 0.0, c2 = 0.0 and c3 = 0.0 put the quartic "
+     "integral outside the float range"),
+    # m_e m_n is subnormal: these printed digits of 4.999944335913415e-161
+    # with exit 0
+    (("lamb", "vp", "--mass", "reduced"),
+     "electron_mass = 1e-160\nproton_mass = 1e-160\n", _MU_SUBNORMAL),
+    (("lamb", "rde", "--atom", "H", "--transition", "1s2s"),
+     "electron_mass = 1e-160\nproton_mass = 1e-160\n", _MU_SUBNORMAL),
+    # k = pi alpha Z^2/n^2 (1 + alpha/3 pi) underflows before W is taken
+    (("selfenergy", "zeta", "--Z", "1", "--n", "1"), "alpha = 1e-320\n",
+     "alpha = 1e-320 and Z^2/n^2 = 1.0 put the zeta schemes outside the "
+     "float range"),
 ])
 def test_float_range_failure_names_its_input(argv, config, message, tmp_path,
                                              capsys):

@@ -31,6 +31,14 @@ def test_reduced_masses_frozen():
     assert mu_d > mu_hydrogen()
 
 
+@pytest.mark.parametrize("m_e,m_n", [
+    (C.electron_mass, C.proton_mass), (1.5e-154, 1.5e-154),
+    (1e-300, 1e-7), (1e-150, 1e150), (1e154, 1e154),
+])
+def test_reduced_mass_keeps_every_normal_result(m_e, m_n):
+    assert reduced_mass(m_e, m_n) == m_e * m_n / (m_e + m_n)
+
+
 def test_bohr_binding():
     e_1s = bohr_binding(1, 1, mu_hydrogen(), C)
     assert e_1s * 1e6 == pytest.approx(13.598289067140, rel=1e-11)
@@ -205,6 +213,16 @@ _FLOAT_RANGE = "outside the float range"
     (lambda: p4_level_shift(_2S, 5e-104, 3.7e307),
      "Z = 1, mu_obs = 5e-104 MeV and b2r = 3.7e+307 put the p^4 level "
      "shift", OverflowError),
+    # m_e m_n is subnormal and keeps only some digits; mu is subnormal
+    (lambda: reduced_mass(1e-160, 1e-160),
+     "m_e = 1e-160 and m_n = 1e-160 MeV put the reduced mass "
+     "m_e m_n / (m_e + m_n)", None),
+    (lambda: reduced_mass(3e-170, 2e-150),
+     "m_e = 3e-170 and m_n = 2e-150 MeV put the reduced mass "
+     "m_e m_n / (m_e + m_n)", None),
+    (lambda: reduced_mass(1e-310, 1e300),
+     "m_e = 1e-310 and m_n = 1e+300 MeV put the reduced mass "
+     "m_e m_n / (m_e + m_n)", None),
 ])
 def test_float_range_error_names_its_input(call, message, cause):
     with pytest.raises(NumericsError) as err:

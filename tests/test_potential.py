@@ -287,7 +287,7 @@ def test_sector_report_is_the_single_piece_calls(sigma, lam, sector):
 @given(sigma=st.floats(1e-6, 1e6), lam=st.floats(1e-6, 1e3),
        phi=st.floats(0.0, 1e80), sector=st.sampled_from(("ssb", "symmetric")))
 @example(sigma=1.0, lam=1.0, phi=1e80, sector="ssb")     # v overflows
-@example(sigma=1.0, lam=1.0, phi=1e77, sector="ssb")     # v = inf + nan j
+@example(sigma=1.0, lam=1.0, phi=1e77, sector="ssb")     # bracket overflows
 def test_sector_report_is_the_single_piece_calls_anywhere(sigma, lam, phi,
                                                           sector):
     p = PotentialParams(sigma=sigma, lam=lam)
@@ -320,7 +320,11 @@ def test_float_range_error_names_phi_sigma_and_lambda():
           "range")
     for call, phi in ((lambda x: one_loop_potential(x, p, c), 1e100),
                       (lambda x: potential_derivative(x, 4, p, c), 1e80),
-                      (lambda x: sector_report(x, p, c), 1e80)):
+                      (lambda x: sector_report(x, p, c), 1e80),
+                      # phi^4 is finite, but the loop bracket overflows; the
+                      # potential was (inf+nanj)
+                      (lambda x: one_loop_potential(x, p, c), 1e77),
+                      (lambda x: sector_report(x, p, c), 1e77)):
         with pytest.raises(NumericsError) as err:
             call(phi)
         assert str(err.value) == f"phi = {phi!r}, {at}"

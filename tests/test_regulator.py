@@ -78,6 +78,20 @@ def test_quartic_constants_enter_linearly():
     assert (bumped - base).imag == 0.0
 
 
+@pytest.mark.parametrize("m_sq,c2,c3", [
+    (1e200, 0.0, 0.0), (-1e200, 0.0, 0.0),   # M^4 overflows
+    (2.0, 1e308, 1e308),                     # C2 M^2 + C3 overflows
+])
+def test_quartic_value_overflow_names_its_inputs(m_sq, c2, c3):
+    # the value was (nan+nanj) or inf, with no error
+    with pytest.raises(NumericsError) as err:
+        quartic_integral_value(RegulatedQuarticIntegral(m_sq=m_sq, c2=c2,
+                                                        c3=c3))
+    assert str(err.value) == (f"M^2 = {m_sq!r}, c1 = 0.0, c2 = {c2!r} and "
+                              f"c3 = {c3!r} put the quartic integral outside "
+                              "the float range")
+
+
 def test_oracles_match_closed_forms():
     for m_sq in (0.001, 0.27, 1.0, 4.0, 1000.0):
         lo = log_derivative_oracle(m_sq)
