@@ -549,7 +549,7 @@ _MU_SUBNORMAL = ("m_e = 1e-160 and m_n = 1e-160 MeV put the reduced mass "
      None, f"sigma = 1e+200 and lambda = 1.0 {_FLOAT_RANGE}"),
     (("effpot", "table", "--sigma", "1e-300", "--lambda", "1e300"),
      None, f"phi = 0.0, sigma = 1e-300 and lambda = 1e+300 {_FLOAT_RANGE}"),
-    # zeta_v = 2 alpha^2 Z^2/n^2 underflows; the bracket test named alpha
+    # zeta_v = 2 alpha^2 Z^2/n^2 underflows
     (("selfenergy", "zeta", "--Z", "1", "--n", "1"), "alpha = 1e-300\n",
      "alpha = 1e-300 and Z^2/n^2 = 1.0 put the zeta schemes outside the "
      "float range"),
