@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the record builder of
+the hot kernels.
 
 Exit-code mapping used by the CLI: ValidationError -> 2, NumericsError -> 3,
 argparse usage failures -> 64.
@@ -15,3 +16,21 @@ class ValidationError(RRMLabError):
 
 class NumericsError(RRMLabError):
     """Numerical failure: non-convergence, bracket failure, blow-up."""
+
+
+def _record(cls, values: dict):
+    """An instance of the frozen dataclass ``cls`` whose fields are
+    ``values``, a dict keyed by field name in declaration order, set by one
+    ``__dict__`` update.
+
+    The generated ``__init__`` sets each field by its own
+    ``object.__setattr__`` call, which costs a kernel like
+    ``sector_report`` more than its arithmetic. This skips ``__init__``,
+    so it runs no ``__post_init__``: use it only for a class without one.
+    ``==``, ``hash``, ``repr``, ``fields``, ``astuple`` and ``replace`` read
+    the fields as from a constructor-built instance, and the instance
+    stays frozen.
+    """
+    record = object.__new__(cls)
+    record.__dict__.update(values)
+    return record

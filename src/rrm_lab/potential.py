@@ -17,10 +17,11 @@ M^2 is negative below |phi| = sqrt(2 sigma/lambda), so values are complex
 there; the imaginary part rides on the principal log branch.
 
 Derivatives through fourth order are closed forms via the chain rule in
-M^2; they are exact, not finite differences. sector_report reads V and
-all four from one M^2, one ln M^2 and one chain g0..g3 per field value.
-An OverflowError or ZeroDivisionError on the way becomes a NumericsError
-naming phi, sigma and lambda.
+M^2; they are exact, not finite differences. sector_report computes V and
+all four in one pass: one M^2, one ln M^2, one chain g0..g3 and each power
+of phi and lambda once per field value, bit for bit the per-order values
+of potential_derivative. An OverflowError or ZeroDivisionError on the way
+becomes a NumericsError naming phi, sigma and lambda.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericsError, ValidationError
+from .errors import NumericsError, ValidationError, _record
 from .regulator import (
     FOUR_PI_SQ,
     KAPPA,
@@ -123,14 +124,16 @@ def scheme_for(sector: str, p: PotentialParams) -> SchemeConstants:
     raise ValidationError(f"unknown sector '{sector}'")
 
 
+def _vanishing_mass(p: PotentialParams) -> ValidationError:
+    edge = math.sqrt(2.0 * p.sigma / p.lam)
+    return ValidationError(f"M^2(phi) vanishes at phi = +/-{edge:.12g}; the "
+                           "loop term is singular there")
+
+
 def _check_mass_squared(phi: float, p: PotentialParams) -> float:
     m2 = mass_squared(phi, p)
     if m2 == 0.0:
-        edge = math.sqrt(2.0 * p.sigma / p.lam)
-        raise ValidationError(
-            f"M^2(phi) vanishes at phi = +/-{edge:.12g}; the loop term is "
-            "singular there"
-        )
+        raise _vanishing_mass(p)
     return m2
 
 
@@ -192,20 +195,33 @@ def lambda_renormalized(p: PotentialParams) -> float:
 
 def sector_report(phi: float, p: PotentialParams,
                   c: SchemeConstants) -> SectorReport:
-    """V and d1..d4 from one M^2, one log and one g chain; the first piece
-    to fail, in that order, raises as its single-piece call would."""
+    """V and d1..d4 in one pass. Each sum keeps the operation order of
+    tree_potential, one_loop_potential and _derivative, so every value is
+    theirs bit for bit; the first piece to fail, in that order, raises as
+    its single-piece call would."""
+    sigma, lam = p.sigma, p.lam
     try:
-        m2 = _check_mass_squared(phi, p)
-        tree = tree_potential(phi, p)  # phi ** 4 fails before the log
+        m2 = -sigma + 0.5 * lam * phi * phi    # mass_squared
+        if m2 == 0.0:
+            raise _vanishing_mass(p)
+        phi4 = phi ** 4                        # fails before the log
+        tree = -0.5 * sigma * phi * phi + lam * phi4 / 24.0
         log_m2 = principal_log_msq(m2)
         v = tree + _quartic_value(m2, log_m2, c.c1, c.c2, c.c3)
-        g = _g_chain(m2, log_m2, c)
-        return SectorReport(phi, v, _derivative(phi, 1, p, g),
-                            _derivative(phi, 2, p, g),
-                            _derivative(phi, 3, p, g),
-                            _derivative(phi, 4, p, g))
+        g0, g1, g2, g3 = _g_chain(m2, log_m2, c)
+        phi3, lam2 = phi ** 3, lam ** 2
+        kl = KAPPA * lam
+        kl3 = 3.0 * kl * lam
+        # d2 opens with -sigma + 0.5 lam phi phi, which is m2
+        d1 = -sigma * phi + lam * phi3 / 6.0 + kl * phi * g0
+        d2 = m2 + kl * g0 + kl * lam * phi * phi * g1
+        d3 = lam * phi + kl3 * phi * g1 + kl * lam2 * phi3 * g2
+        d4 = (lam + kl3 * g1 + 6.0 * kl * lam2 * phi * phi * g2
+              + kl * lam ** 3 * phi4 * g3)
     except ArithmeticError as exc:
         raise _outside_float_range(p, phi) from exc
+    return _record(SectorReport, {"phi": phi, "v": v, "d1": d1, "d2": d2,
+                                  "d3": d3, "d4": d4})
 
 
 def two_phase_table(p: PotentialParams, c: SchemeConstants):

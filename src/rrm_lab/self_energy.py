@@ -23,12 +23,13 @@ import sys
 from dataclasses import dataclass
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .errors import NumericsError, ValidationError
+from .errors import NumericsError, ValidationError, _record
 
 # the small-zeta expansion holds up to this scalar-scheme zeta, where
 # k = zeta (1/2 - ln zeta), rising in zeta, reaches _K_MAX
 _ZETA_HI = 0.099
 _K_MAX = _ZETA_HI * (0.5 - math.log(_ZETA_HI))
+_SQRT_E = math.sqrt(math.e)
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,7 @@ def zeta_row(ratio, constants: PhysicalConstants = DEFAULT_CONSTANTS
             "small-zeta domain")
     # W is taken of a normal k only. zs zv lies below each factor except
     # near the domain's end, so a normal product means a normal zs and zv
-    zs = (-k / _lambert_w_lower(-k / math.sqrt(math.e))
+    zs = (-k / _lambert_w_lower(-k / _SQRT_E)
           if k >= sys.float_info.min else 0.0)
     zv = 2.0 * r * alpha * alpha
     if zs * zv < sys.float_info.min:
@@ -187,12 +188,12 @@ def zeta_row(ratio, constants: PhysicalConstants = DEFAULT_CONSTANTS
                             "zeta schemes outside the float range")
     mean = 0.5 * (zs + zv)
     geo = math.sqrt(zs * zv)
-    return ZetaRow(
-        z_sq_over_n_sq=r,
-        zeta_s=zs, zeta_v=zv, zeta_sv_mean=mean, zeta_sv_geo=geo,
-        minus_log_s=-math.log(zs), minus_log_v=-math.log(zv),
-        minus_log_sv_mean=-math.log(mean), minus_log_sv_geo=-math.log(geo),
-    )
+    return _record(ZetaRow, {
+        "z_sq_over_n_sq": r,
+        "zeta_s": zs, "zeta_v": zv, "zeta_sv_mean": mean, "zeta_sv_geo": geo,
+        "minus_log_s": -math.log(zs), "minus_log_v": -math.log(zv),
+        "minus_log_sv_mean": -math.log(mean),
+        "minus_log_sv_geo": -math.log(geo)})
 
 
 def zeta_table(rows, constants: PhysicalConstants = DEFAULT_CONSTANTS):

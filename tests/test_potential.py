@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rrm_lab import potential, regulator
+from rrm_lab import potential, regulator, self_energy
 from rrm_lab.errors import NumericsError, ValidationError
 from rrm_lab.potential import (
     PotentialParams,
@@ -341,3 +341,34 @@ def test_float_range_error_names_phi_sigma_and_lambda():
             scheme(huge)
         assert str(err.value) == ("sigma = 1e+200 and lambda = 1.0 put the "
                                   "potential outside the float range")
+
+
+# ------------------------ kernel records are still their frozen dataclasses
+
+_SSB = PotentialParams(sigma=1.0, lam=0.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sector_report(0.5, _SSB, ssb_scheme(_SSB)),       # M^2 < 0
+    lambda: sector_report(3.0, _SSB, symmetric_scheme(_SSB)),
+    lambda: self_energy.zeta_row(0.25),
+], ids=["SectorReport-ssb", "SectorReport-symmetric", "ZetaRow"])
+def test_kernel_record_is_its_constructor_built_twin(make):
+    got = make()
+    cls = type(got)
+    names = [f.name for f in dataclasses.fields(cls)]
+    twin = cls(*(getattr(got, name) for name in names))
+    assert list(vars(got)) == names
+    assert dataclasses.fields(got) == dataclasses.fields(twin)
+    assert dataclasses.astuple(got) == dataclasses.astuple(twin)
+    assert got == twin
+    assert hash(got) == hash(twin)
+    assert repr(got) == repr(twin)
+    moved = dataclasses.replace(got, **{names[1]: 7.0})
+    assert type(moved) is cls
+    assert dataclasses.astuple(moved)[1] == 7.0
+    assert dataclasses.replace(got) == got
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(got, name, 0.0)
+    assert got == twin
