@@ -20,12 +20,14 @@ Derivatives through fourth order are closed forms via the chain rule in
 M^2; they are exact, not finite differences. sector_report computes V and
 all four in one pass: one M^2, one ln M^2, one chain g0..g3 and each power
 of phi and lambda once per field value, bit for bit the per-order values
-of potential_derivative. An OverflowError or ZeroDivisionError on the way
-becomes a NumericsError naming phi, sigma and lambda.
+of potential_derivative. An OverflowError or ZeroDivisionError on the way,
+or a derivative that overflows to inf or nan, becomes a NumericsError
+naming phi, sigma and lambda.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -182,10 +184,12 @@ def potential_derivative(phi: float, order: int, p: PotentialParams,
         raise ValidationError("derivative order must be 1..4")
     try:
         m2 = _check_mass_squared(phi, p)
-        return _derivative(phi, order, p,
-                           _g_chain(m2, principal_log_msq(m2), c))
+        d = _derivative(phi, order, p, _g_chain(m2, principal_log_msq(m2), c))
+        if not cmath.isfinite(d):
+            raise OverflowError  # float * overflows without raising
     except ArithmeticError as exc:  # phi ** n, lam ** n, 1/M^4
         raise _outside_float_range(p, phi) from exc
+    return d
 
 
 def lambda_renormalized(p: PotentialParams) -> float:
@@ -218,6 +222,11 @@ def sector_report(phi: float, p: PotentialParams,
         d3 = lam * phi + kl3 * phi * g1 + kl * lam2 * phi3 * g2
         d4 = (lam + kl3 * g1 + 6.0 * kl * lam2 * phi * phi * g2
               + kl * lam ** 3 * phi4 * g3)
+        # one sum is finite only if every term is; test the terms only
+        # when it is not, since finite terms may overflow it
+        if not (cmath.isfinite(d1 + d2 + d3 + d4)
+                or all(map(cmath.isfinite, (d1, d2, d3, d4)))):
+            raise OverflowError  # float * overflows without raising
     except ArithmeticError as exc:
         raise _outside_float_range(p, phi) from exc
     return _record(SectorReport, {"phi": phi, "v": v, "d1": d1, "d2": d2,

@@ -577,6 +577,12 @@ _MU_SUBNORMAL = ("m_e = 1e-160 and m_n = 1e-160 MeV put the reduced mass "
      None, f"phi = 1e+77, sigma = 1.0 and lambda = 1.0 {_FLOAT_RANGE}"),
     (("effpot", "derivs", "--sigma", "1", "--lambda", "1", "--phi", "1e77"),
      None, f"phi = 1e+77, sigma = 1.0 and lambda = 1.0 {_FLOAT_RANGE}"),
+    # kl lam^3 phi^4 overflows before g3 = -1/M^4 scales it back; this
+    # ended in "d4 = (-inf+0j) is not finite"
+    (("effpot", "derivs", "--sigma", "4e-262", "--lambda", "1e74", "--phi",
+      "5e12"),
+     None, f"phi = 5000000000000.0, sigma = 4e-262 and lambda = 1e+74 "
+     f"{_FLOAT_RANGE}"),
     # M^4 overflows; this ended in "value = (nan+nanj) is not finite"
     (("regulator", "value", "--family", "quartic", "--msq", "1e200"), None,
      "M^2 = 1e+200, c1 = 0.0, c2 = 0.0 and c3 = 0.0 put the quartic "

@@ -343,6 +343,35 @@ def test_float_range_error_names_phi_sigma_and_lambda():
                                   "potential outside the float range")
 
 
+def test_overflowing_derivative_names_phi_sigma_and_lambda():
+    # kl lam^3 phi^4 overflows to inf before g3 = -1/M^4 scales it back;
+    # d4 was (-inf+0j), while d1..d3 are finite
+    p = PotentialParams(sigma=4e-262, lam=1e74)
+    c = ssb_scheme(p)
+    message = ("phi = 5000000000000.0, sigma = 4e-262 and lambda = 1e+74 "
+               "put the potential outside the float range")
+    for k in (1, 2, 3):
+        assert cmath.isfinite(potential_derivative(5e12, k, p, c))
+    for call in (lambda: potential_derivative(5e12, 4, p, c),
+                 lambda: sector_report(5e12, p, c)):
+        with pytest.raises(NumericsError) as err:
+            call()
+        assert str(err.value) == message
+        assert isinstance(err.value.__cause__, OverflowError)
+
+
+def test_finite_derivatives_whose_sum_overflows_are_returned(monkeypatch):
+    # sector_report tests the sum of d1..d4 first; a chain with a huge g0
+    # makes d1 + d2 overflow while every term is finite
+    monkeypatch.setattr(potential, "_g_chain",
+                        lambda m2, log_m2, c: (complex(1.7e308), 0j, 0j, 0j))
+    p = PotentialParams(sigma=1.0, lam=100.0)
+    rep = sector_report(3.0, p, ssb_scheme(p))
+    ds = (rep.d1, rep.d2, rep.d3, rep.d4)
+    assert all(map(cmath.isfinite, ds))
+    assert not cmath.isfinite(sum(ds))
+
+
 # ------------------------ kernel records are still their frozen dataclasses
 
 _SSB = PotentialParams(sigma=1.0, lam=0.5)
