@@ -264,5 +264,17 @@ def uehling_2s_shift(mass_mev: float,
     if not 0.0 < mass_mev < math.inf:
         raise ValidationError("mass must be positive and finite")
     alpha = constants.alpha
-    shift_mev = -alpha ** 5 * mass_mev / (30.0 * math.pi)
-    return _mev_to_hz(shift_mev, constants) / 1e6
+    try:
+        alpha5 = alpha ** 5
+        shift_mev = -alpha5 * mass_mev / (30.0 * math.pi)
+        shift = _mev_to_hz(shift_mev, constants) / 1e6
+        # float * overflows to inf without raising, and a subnormal step
+        # keeps only some of its digits
+        if not (min(alpha5, -shift_mev) >= sys.float_info.min
+                and sys.float_info.min <= -shift < math.inf):
+            raise OverflowError
+    except ArithmeticError as exc:  # alpha ** 5
+        raise _outside_float_range(
+            f"m = {mass_mev!r} MeV and alpha = {alpha!r}",
+            "Uehling 2S shift") from exc
+    return shift

@@ -593,6 +593,15 @@ _MU_SUBNORMAL = ("m_e = 1e-160 and m_n = 1e-160 MeV put the reduced mass "
      "electron_mass = 1e-160\nproton_mass = 1e-160\n", _MU_SUBNORMAL),
     (("lamb", "rde", "--atom", "H", "--transition", "1s2s"),
      "electron_mass = 1e-160\nproton_mass = 1e-160\n", _MU_SUBNORMAL),
+    # -alpha^5 m/(30 pi) in Hz: this ended in "shift_mhz = -inf is not
+    # finite", and this printed the subnormal -1.43e-308 with exit 0
+    (("lamb", "vp", "--mass", "electron"), "electron_mass = 1e308\n",
+     f"m = 1e+308 MeV and alpha = {DEFAULT_CONSTANTS.alpha!r} put the "
+     "Uehling 2S shift outside the float range"),
+    (("lamb", "vp", "--mass", "electron"),
+     "electron_mass = 2.4e-305\nalpha = 7.5e-4\n",
+     "m = 2.4e-305 MeV and alpha = 0.00075 put the Uehling 2S shift "
+     "outside the float range"),
     # k = pi alpha Z^2/n^2 (1 + alpha/3 pi) underflows before W is taken
     (("selfenergy", "zeta", "--Z", "1", "--n", "1"), "alpha = 1e-320\n",
      "alpha = 1e-320 and Z^2/n^2 = 1.0 put the zeta schemes outside the "

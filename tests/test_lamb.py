@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import pytest
@@ -223,6 +224,23 @@ _FLOAT_RANGE = "outside the float range"
     (lambda: reduced_mass(1e-310, 1e300),
      "m_e = 1e-310 and m_n = 1e+300 MeV put the reduced mass "
      "m_e m_n / (m_e + m_n)", None),
+    # -alpha^5 m/(30 pi) in Hz overflows to -inf, is subnormal, is reached
+    # through a subnormal shift in MeV, or through a subnormal alpha^5
+    (lambda: uehling_2s_shift(1e308, C),
+     f"m = 1e+308 MeV and alpha = {C.alpha!r} put the Uehling 2S shift",
+     OverflowError),
+    (lambda: uehling_2s_shift(2.4e-305, replace(C, alpha=7.5e-4)),
+     "m = 2.4e-305 MeV and alpha = 0.00075 put the Uehling 2S shift",
+     OverflowError),
+    (lambda: uehling_2s_shift(1e-300, C),
+     f"m = 1e-300 MeV and alpha = {C.alpha!r} put the Uehling 2S shift",
+     OverflowError),
+    (lambda: uehling_2s_shift(1e10, replace(C, alpha=1e-62)),
+     "m = 10000000000.0 MeV and alpha = 1e-62 put the Uehling 2S shift",
+     OverflowError),
+    (lambda: uehling_2s_shift(1.0, replace(C, alpha=1e70)),
+     "m = 1.0 MeV and alpha = 1e+70 put the Uehling 2S shift",
+     OverflowError),
 ])
 def test_float_range_error_names_its_input(call, message, cause):
     with pytest.raises(NumericsError) as err:
