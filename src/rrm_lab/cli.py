@@ -11,8 +11,8 @@ Each handler builds a record (dict) or a list of records and hands it to
 ``_emit``, the one renderer. json prints every float at full ``repr``
 precision and a complex number as ``{"re": ..., "im": ...}``, byte for
 byte as ``json.dumps(data, indent=2)``; a list of flat number records
-(a scan, a curve) is written by ``_json_records`` instead, and a test
-checks it against ``json.dumps``. csv prints floats at 12 significant
+(a scan, a curve), alone or at the end of a header record, is written by
+``_json_records`` instead, and a test checks it against ``json.dumps``. csv prints floats at 12 significant
 digits, one column per key, and splits a complex value under key ``k``
 into ``re_k`` and ``im_k``. table prints a record as
 ``key = value`` lines and a list as csv, except where a command has its own
@@ -87,13 +87,28 @@ def _check_finite(data):
 def _json_records(data):
     """``json.dumps(data, indent=2) + "\\n"`` for a non-empty list of
     non-empty records with str keys and values that are exactly float or
-    int, else None.
+    int, or for a record whose last value is such a list and whose other
+    values are exactly str, float, int or None (a curve and its header);
+    else None.
 
     The scans print tens of thousands of such records, and ``json.dumps``
     with an indent never uses its C encoder. Each record is written from a
     template per key tuple: a key as ``json`` escapes it, a value by
     ``float.__repr__`` or ``int.__repr__``, which is what ``json`` prints.
+    A header is written by hand around the list, indented one more level.
     """
+    if type(data) is dict and data:
+        import json
+        *head, (key, last) = data.items()
+        body = _json_records(last) if type(last) is list else None
+        if body is None or type(key) is not str or not all(
+                type(k) is str and type(v) in (str, float, int, type(None))
+                for k, v in head):
+            return None
+        lines = [f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in head]
+        lines.append(f"  {json.dumps(key)}: {body[:-1]}".replace("\n",
+                                                                "\n  "))
+        return "{\n" + ",\n".join(lines) + "\n}\n"
     if type(data) is not list or not data:
         return None
     from json.encoder import encode_basestring_ascii

@@ -667,7 +667,35 @@ def _record_lists(draw):
     return records
 
 
-@given(_record_lists())
+@st.composite
+def _headed_record_lists(draw):
+    """A header record whose last value is a record list, as qcd run
+    prints; some headers hold values or keys the template path must leave
+    to json."""
+    header = draw(st.dictionaries(
+        _KEYS, st.none() | st.text(max_size=3) | _NUMBERS, max_size=3))
+    if draw(st.booleans()):
+        header.update(draw(st.dictionaries(
+            _KEYS | st.integers(0, 3), _OTHERS | st.just([1.0]),
+            max_size=2)))
+    header[draw(_KEYS)] = draw(_record_lists())
+    return header
+
+
+@given(_record_lists() | _headed_record_lists())
+@example({"flavor": "b", "lambda_peak": None, "alpha_max": None,
+          "samples": [{"q_gev": 50.0, "alpha_s": 0.129},
+                      {"q_gev": 91.1876, "alpha_s": 0.118}]})
+@example({"samples": [{"q_gev": 1.0}]})
+@example({"n": 2, "x": -0.0, "samples": [{"q": 1e308}, {"q": 5e-324}]})
+@example({"flag": True, "samples": [{"q": 1.0}]})
+@example({"peak": 1 + 2j, "samples": [{"q": 1.0}]})
+@example({1: 1.0, "samples": [{"q": 1.0}]})
+@example({"inner": {"a": 1.0}, "samples": [{"q": 1.0}]})
+@example({"samples": [{"q": 1.0}], "n": 1})
+@example({"samples": []})
+@example({"samples": [{"q": None}]})
+@example({"a\u2028%r": "\u00e9\"", "samples": [{"q": 1.0}]})
 @example([])
 @example([{}])
 @example([{"phi": -0.0, "re_v": 5e-324, "im_v": 1e16},
@@ -681,6 +709,14 @@ def _record_lists(draw):
 @example([{"x": 1.0}, {}])
 def test_json_render_is_json_dumps(records):
     assert cli._emit("json", records) == _json_dumps(records)
+
+
+def test_qcd_run_json_is_written_by_the_template_path(capsys):
+    assert cli.main(["qcd", "run", "--flavor", "c", "--qmin", "2",
+                     "--steps", "300", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert cli._json_records(doc) == out == _json_dumps(doc)
 
 
 # ------------------------------------------------------- float flag sweep
