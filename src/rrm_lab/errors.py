@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the record builder of
-the hot kernels.
+"""Exception types shared across the package, and the kernels' record
+builder.
 
 Exit-code mapping used by the CLI: ValidationError -> 2, NumericsError -> 3,
 argparse usage failures -> 64.
@@ -19,18 +19,11 @@ class NumericsError(RRMLabError):
 
 
 def _record(cls, values: dict):
-    """An instance of the frozen dataclass ``cls`` whose fields are
-    ``values``, a dict keyed by field name in declaration order, set by one
-    ``__dict__`` update.
-
-    The generated ``__init__`` sets each field by its own
-    ``object.__setattr__`` call, which costs a kernel like
-    ``sector_report`` more than its arithmetic. This skips ``__init__``,
-    so it runs no ``__post_init__``: use it only for a class without one.
-    ``==``, ``hash``, ``repr``, ``fields``, ``astuple`` and ``replace`` read
-    the fields as from a constructor-built instance, and the instance
-    stays frozen.
-    """
+    """An instance of the frozen dataclass ``cls`` from ``values``, keyed by
+    field name in declaration order, set by one ``__dict__`` update instead
+    of the generated ``__init__``'s ``object.__setattr__`` per field. It
+    runs no ``__post_init__``; ``==``, ``hash``, ``repr``, ``astuple`` and
+    ``replace`` work as on a constructor-built instance."""
     record = object.__new__(cls)
     record.__dict__.update(values)
     return record

@@ -259,7 +259,9 @@ def uehling_2s_shift(mass_mev: float,
     """Standard vacuum-polarization 2S shift, -alpha^5 m / 30 pi, in MHz.
 
     Evaluated with the electron mass this gives -27.13 MHz, the default
-    vacuum-polarization input of the 2S-2P assembly.
+    vacuum-polarization input of the 2S-2P assembly. alpha^5, the shift
+    in MeV or the shift in MHz outside the normal float range is a
+    NumericsError naming m and alpha.
     """
     if not 0.0 < mass_mev < math.inf:
         raise ValidationError("mass must be positive and finite")

@@ -13,7 +13,8 @@ alpha/3 pi) = -r alpha^2/2, r = Z^2/n^2, has the closed-form root
 zeta_s = -k/W_{-1}(-k/sqrt(e)), k = pi r alpha (1 + alpha/3 pi) (Corless et
 al., Adv. Comput. Math. 5 (1996) 329). A root above 0.099, where the
 small-zeta expansion ends, or a k or zeta_s zeta_v that is not a normal
-float, is a NumericsError naming alpha and Z^2/n^2.
+float, is a NumericsError naming alpha and Z^2/n^2. zeta_row fills its
+ZetaRow by one dict update (errors._record), not field by field.
 """
 
 from __future__ import annotations
