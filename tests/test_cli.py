@@ -676,7 +676,7 @@ def _headed_record_lists(draw):
         _KEYS, st.none() | st.text(max_size=3) | _NUMBERS, max_size=3))
     if draw(st.booleans()):
         header.update(draw(st.dictionaries(
-            _KEYS | st.integers(0, 3), _OTHERS | st.just([1.0]),
+            _KEYS | st.integers(0, 3), _OTHERS | st.just({"a": 1.0}),
             max_size=2)))
     header[draw(_KEYS)] = draw(_record_lists())
     return header
