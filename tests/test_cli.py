@@ -577,12 +577,6 @@ _MU_SUBNORMAL = ("m_e = 1e-160 and m_n = 1e-160 MeV put the reduced mass "
      None, f"phi = 1e+77, sigma = 1.0 and lambda = 1.0 {_FLOAT_RANGE}"),
     (("effpot", "derivs", "--sigma", "1", "--lambda", "1", "--phi", "1e77"),
      None, f"phi = 1e+77, sigma = 1.0 and lambda = 1.0 {_FLOAT_RANGE}"),
-    # kl lam^3 phi^4 overflows before g3 = -1/M^4 scales it back; this
-    # ended in "d4 = (-inf+0j) is not finite"
-    (("effpot", "derivs", "--sigma", "4e-262", "--lambda", "1e74", "--phi",
-      "5e12"),
-     None, f"phi = 5000000000000.0, sigma = 4e-262 and lambda = 1e+74 "
-     f"{_FLOAT_RANGE}"),
     # M^4 overflows; this ended in "value = (nan+nanj) is not finite"
     (("regulator", "value", "--family", "quartic", "--msq", "1e200"), None,
      "M^2 = 1e+200, c1 = 0.0, c2 = 0.0 and c3 = 0.0 put the quartic "
@@ -593,6 +587,16 @@ _MU_SUBNORMAL = ("m_e = 1e-160 and m_n = 1e-160 MeV put the reduced mass "
      "electron_mass = 1e-160\nproton_mass = 1e-160\n", _MU_SUBNORMAL),
     (("lamb", "rde", "--atom", "H", "--transition", "1s2s"),
      "electron_mass = 1e-160\nproton_mass = 1e-160\n", _MU_SUBNORMAL),
+    # k = pi alpha Z^2/n^2 (1 + alpha/3 pi) underflows before W is taken
+    (("selfenergy", "zeta", "--Z", "1", "--n", "1"), "alpha = 1e-320\n",
+     "alpha = 1e-320 and Z^2/n^2 = 1.0 put the zeta schemes outside the "
+     "float range"),
+    # kl lam^3 phi^4 overflows before g3 = -1/M^4 scales it back; this
+    # ended in "d4 = (-inf+0j) is not finite"
+    (("effpot", "derivs", "--sigma", "4e-262", "--lambda", "1e74", "--phi",
+      "5e12"),
+     None, f"phi = 5000000000000.0, sigma = 4e-262 and lambda = 1e+74 "
+     f"{_FLOAT_RANGE}"),
     # -alpha^5 m/(30 pi) in Hz: this ended in "shift_mhz = -inf is not
     # finite", and this printed the subnormal -1.43e-308 with exit 0
     (("lamb", "vp", "--mass", "electron"), "electron_mass = 1e308\n",
@@ -602,10 +606,6 @@ _MU_SUBNORMAL = ("m_e = 1e-160 and m_n = 1e-160 MeV put the reduced mass "
      "electron_mass = 2.4e-305\nalpha = 7.5e-4\n",
      "m = 2.4e-305 MeV and alpha = 0.00075 put the Uehling 2S shift "
      "outside the float range"),
-    # k = pi alpha Z^2/n^2 (1 + alpha/3 pi) underflows before W is taken
-    (("selfenergy", "zeta", "--Z", "1", "--n", "1"), "alpha = 1e-320\n",
-     "alpha = 1e-320 and Z^2/n^2 = 1.0 put the zeta schemes outside the "
-     "float range"),
 ])
 def test_float_range_failure_names_its_input(argv, config, message, tmp_path,
                                              capsys):
