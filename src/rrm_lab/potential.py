@@ -211,8 +211,13 @@ def sector_report(phi: float, p: PotentialParams,
         phi4 = phi ** 4                        # fails before the log
         tree = -0.5 * sigma * phi * phi + lam * phi4 / 24.0
         log_m2 = principal_log_msq(m2)
-        v = tree + _quartic_value(m2, log_m2, c.c1, c.c2, c.c3)
-        g0, g1, g2, g3 = _g_chain(m2, log_m2, c)
+        c1 = c.c1
+        v = tree + _quartic_value(m2, log_m2, c1, c.c2, c.c3)
+        # the chain of _g_chain, inline
+        g0 = m2 * log_m2 - m2 + c1 * m2 + c.c2
+        g1 = log_m2 + c1
+        g2 = 1.0 / m2
+        g3 = -1.0 / (m2 * m2)
         phi3, lam2 = phi ** 3, lam ** 2
         kl = KAPPA * lam
         kl3 = 3.0 * kl * lam

@@ -361,12 +361,14 @@ def test_overflowing_derivative_names_phi_sigma_and_lambda():
 
 
 def test_finite_derivatives_whose_sum_overflows_are_returned(monkeypatch):
-    # sector_report tests the sum of d1..d4 first; a chain with a huge g0
-    # makes d1 + d2 overflow while every term is finite
-    monkeypatch.setattr(potential, "_g_chain",
-                        lambda m2, log_m2, c: (complex(1.7e308), 0j, 0j, 0j))
+    # sector_report tests the sum of d1..d4 first. With M^2 = 1 and a log
+    # of 1.6e306, d4 = 1.5e308 and d3 = 3e307 are finite and V is too,
+    # but d3 + d4 overflows
+    monkeypatch.setattr(potential, "principal_log_msq",
+                        lambda m_sq: complex(1.6e306))
     p = PotentialParams(sigma=1.0, lam=100.0)
-    rep = sector_report(3.0, p, ssb_scheme(p))
+    rep = sector_report(0.2, p, ssb_scheme(p))
+    assert cmath.isfinite(rep.v)
     ds = (rep.d1, rep.d2, rep.d3, rep.d4)
     assert all(map(cmath.isfinite, ds))
     assert not cmath.isfinite(sum(ds))
