@@ -12,12 +12,13 @@ Each handler builds a record (dict) or a list of records and hands it to
 precision and a complex number as ``{"re": ..., "im": ...}``, byte for
 byte as ``json.dumps(data, indent=2)``; a list of flat number records
 (a scan, a curve), alone or at the end of a header record, is written by
-``_json_records`` instead, and a test checks it against ``json.dumps``. csv prints floats at 12 significant
-digits, one column per key, and splits a complex value under key ``k``
-into ``re_k`` and ``im_k``. table prints a record as
-``key = value`` lines and a list as csv, except where a command has its own
-table layout (regulator, zeta, the qcd scalars, effpot table, lamb,
-fixtures). Identical invocations produce byte-identical output.
+``_json_records`` instead, and a test checks it against ``json.dumps``.
+csv prints floats at 12 significant digits, one column per key, and
+splits a complex value under key ``k`` into ``re_k`` and ``im_k``. table
+prints a record as ``key = value`` lines and a list as csv, except where a
+command has its own table layout (regulator, zeta, the qcd scalars,
+effpot table, lamb, fixtures). Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
