@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the kernels' record
-builder.
+"""Exception types shared across the package, and the record helper of
+the hot kernels.
 
 Exit-code mapping used by the CLI: ValidationError -> 2, NumericsError -> 3,
 argparse usage failures -> 64.
