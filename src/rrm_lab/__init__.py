@@ -28,16 +28,16 @@ _EXPORTS = {
     "errors": ("NumericsError", "RRMLabError", "ValidationError"),
     "lamb": (
         "AtomConfig", "RadiativeCoefficients", "TransitionReport",
-        "bohr_binding", "lamb_2s_2p", "p4_level_shift",
-        "radiative_coefficients", "rde_level", "rde_transition_1s2s",
-        "reduced_mass", "uehling_2s_shift",
+        "lamb_2s_2p", "p4_level_shift", "radiative_coefficients",
+        "rde_level", "rde_transition_1s2s", "reduced_mass",
+        "uehling_2s_shift",
     ),
     "potential": (
         "PotentialParams", "SchemeConstants", "SectorReport",
-        "lambda_renormalized", "mass_squared", "one_loop_potential",
-        "phi_broken", "potential_derivative", "scheme_for",
-        "sector_report", "ssb_scheme", "symmetric_scheme",
-        "tree_potential", "two_phase_table",
+        "mass_squared", "one_loop_potential", "phi_broken",
+        "potential_derivative", "scheme_for", "sector_report",
+        "ssb_scheme", "symmetric_scheme", "tree_potential",
+        "two_phase_table",
     ),
     "qcd": (
         "MassiveEvolution", "MassiveQcdModel", "QcdScheme",
@@ -47,8 +47,7 @@ _EXPORTS = {
     ),
     "qed": (
         "BetaModel", "CouplingCurve", "FitResult", "beta_total",
-        "evolve_alpha", "fit_light_quarks", "landau_solution",
-        "loop_integral",
+        "evolve_alpha", "fit_light_quarks", "loop_integral",
     ),
     "regulator": (
         "KAPPA", "RegulatedLogIntegral",
@@ -59,8 +58,8 @@ _EXPORTS = {
     ),
     "self_energy": (
         "MassRenormalization", "SigmaCoefficients", "ZetaRow",
-        "delta_mu_off_shell", "fix_on_shell", "mass_increment",
-        "sigma_coefficients", "zeta_row", "zeta_table",
+        "fix_on_shell", "mass_increment", "sigma_coefficients",
+        "zeta_row", "zeta_table",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

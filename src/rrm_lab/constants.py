@@ -78,8 +78,9 @@ def _log_ratio(a: float, b: float) -> float:
 def load_config(path) -> PhysicalConstants:
     """Build constants from a key=value override file.
 
-    Unknown keys are rejected so a typo cannot silently leave a default in
-    place. Lines starting with '#' and blank lines are ignored.
+    Unknown and repeated keys are rejected so a typo cannot silently leave
+    a default or an earlier value in place. Lines starting with '#' and
+    blank lines are ignored.
     """
     known = {f.name for f in fields(PhysicalConstants)}
     overrides = {}
@@ -94,6 +95,9 @@ def load_config(path) -> PhysicalConstants:
             key = key.strip()
             if key not in known:
                 raise ValidationError(f"{path}:{lineno}: unknown key '{key}'")
+            if key in overrides:
+                raise ValidationError(
+                    f"{path}:{lineno}: duplicate key '{key}'")
             number = parse_finite(value)
             if number is None:
                 raise ValidationError(

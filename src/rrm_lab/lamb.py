@@ -84,17 +84,6 @@ def reduced_mass(m_e: float, m_n: float) -> float:
     return mu
 
 
-def bohr_binding(z: int, n: int, mu: float,
-                 constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Nonrelativistic binding energy Z^2 alpha^2 mu / 2 n^2 (positive)."""
-    if not (1 <= z < math.inf and 1 <= n < math.inf):
-        raise ValidationError("Z and n must be at least 1")
-    if not 0.0 < mu < math.inf:
-        raise ValidationError("mass must be positive and finite")
-    alpha = constants.alpha
-    return (z * z) * alpha * alpha * mu / (2.0 * n * n)
-
-
 def rde_level(cfg: AtomConfig,
               constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Dirac point-nucleus level with the reduced mass, in MeV.

@@ -192,11 +192,6 @@ def potential_derivative(phi: float, order: int, p: PotentialParams,
     return d
 
 
-def lambda_renormalized(p: PotentialParams) -> float:
-    """Quartic coupling including its one-loop correction."""
-    return p.lam * (1.0 + 9.0 * p.lam / (2.0 * FOUR_PI_SQ))
-
-
 def sector_report(phi: float, p: PotentialParams,
                   c: SchemeConstants) -> SectorReport:
     """V and d1..d4 in one pass. Each sum keeps the operation order of

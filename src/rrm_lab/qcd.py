@@ -143,7 +143,6 @@ def evolve_alpha_s_massive(model: MassiveQcdModel, q_min: float,
     """
     # the loop kernels live in qed; only this evolution loads them
     from .qed import (
-        DEFAULT_SAMPLES,
         CouplingCurve,
         _increasing_root,
         _log_grid,
@@ -180,7 +179,7 @@ def evolve_alpha_s_massive(model: MassiveQcdModel, q_min: float,
             f"coupling exceeded 4 pi before reaching q_min; last valid "
             f"Q = {last_q:.12g} GeV"
         )
-    grid = _log_grid(q_min, m_z, DEFAULT_SAMPLES if steps is None else steps)
+    grid = _log_grid(q_min, m_z, steps)
     samples = tuple((q, anchor / denominator(q)) for q in grid)
     return MassiveEvolution(curve=CouplingCurve(samples), lambda_peak=None,
                             alpha_max=None)

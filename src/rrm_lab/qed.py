@@ -26,7 +26,6 @@ from .constants import (
     MAX_SAMPLES,
     ParticleTable,
     PhysicalConstants,
-    _log_ratio,
 )
 from .errors import NumericsError, ValidationError
 
@@ -62,11 +61,6 @@ class CouplingCurve:
     """Monotone-Q samples of a running coupling."""
 
     samples: tuple       # ((q_gev, alpha), ...)
-
-    def __post_init__(self):
-        qs = [q for q, _ in self.samples]
-        if any(b <= a for a, b in zip(qs, qs[1:])):
-            raise ValidationError("curve Q values must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -147,10 +141,15 @@ def beta_total(alpha: float, q: float, model: BetaModel) -> float:
         [(float(sp.charge_weight), sp.mass, None) for sp in model.table], q)
 
 
-def _log_grid(q_lo: float, q_hi: float, n: int) -> list:
-    """n points evenly spaced in ln Q from q_lo to q_hi, both ends exact."""
+def _log_grid(q_lo: float, q_hi: float, steps: int) -> list:
+    """`steps` points (DEFAULT_SAMPLES when None) evenly spaced in ln Q from
+    q_lo to q_hi, both ends exact; only q_hi when q_hi <= q_lo. The step
+    count is checked first, so it is checked in that case too."""
+    n = DEFAULT_SAMPLES if steps is None else steps
     if not 2 <= n <= MAX_SAMPLES:
         raise ValidationError(f"steps must lie in [2, {MAX_SAMPLES}]")
+    if q_hi <= q_lo:
+        return [q_hi]
     t_lo = math.log(q_lo)
     step = (math.log(q_hi) - t_lo) / (n - 1)
     grid = [q_lo, *(math.exp(t_lo + i * step) for i in range(1, n - 1)),
@@ -200,11 +199,10 @@ def evolve_alpha(q_max: float, model: BetaModel, steps: int = None,
     if not 0.0 < q_max < math.inf:
         raise ValidationError("q_max must be positive and finite")
     alpha0 = constants.alpha
+    grid = _log_grid(Q_START_GEV, q_max, steps)
     if q_max <= Q_START_GEV:
         # below every mass the coupling is frozen at the boundary value
         return CouplingCurve(((q_max, alpha0),))
-    grid = _log_grid(Q_START_GEV, q_max,
-                    DEFAULT_SAMPLES if steps is None else steps)
     terms = [(float(sp.charge_weight), sp.mass,
               loop_integral(Q_START_GEV / sp.mass)) for sp in model.table]
     samples = []
@@ -217,20 +215,6 @@ def evolve_alpha(q_max: float, model: BetaModel, steps: int = None,
             )
         samples.append((q, alpha0 / denom))
     return CouplingCurve(tuple(samples))
-
-
-def landau_solution(q: float, m: float, alpha0: float) -> float:
-    """Massless one-loop closed form with its pole guarded."""
-    if not all(0.0 < v < math.inf for v in (q, m, alpha0)):
-        raise ValidationError("q, m, alpha0 must be positive and finite")
-    denom = 1.0 - (2.0 * alpha0 / (3.0 * math.pi)) * _log_ratio(q, m)
-    if denom <= 0.0:
-        # the pole lies at or below q, but exp alone can overflow
-        pole = math.exp(math.log(m) + 3.0 * math.pi / (2.0 * alpha0))
-        raise NumericsError(
-            f"massless running diverges at the pole scale {pole:.6g} GeV"
-        )
-    return alpha0 / denom
 
 
 def fit_light_quarks(model: BetaModel, target_inverse_alpha: float,

@@ -133,24 +133,6 @@ def fix_on_shell(m: float,
     return MassRenormalization(z2=z2, mu2=mu2)
 
 
-def delta_mu_off_shell(zeta: float, mu: float,
-                       constants: PhysicalConstants = DEFAULT_CONSTANTS
-                       ) -> float:
-    """Leading off-shell mass shift for p^2 = mu^2 (1 - zeta).
-
-    Valid only in the small-zeta regime; zeta >= 0.1 is rejected rather
-    than extrapolated.
-    """
-    if not 0.0 < mu < math.inf:
-        raise ValidationError("reduced mass must be positive and finite")
-    if not 0.0 < zeta < 0.1:
-        raise ValidationError("zeta must lie in (0, 0.1)")
-    alpha = constants.alpha
-    return (alpha * mu / (4.0 * math.pi)) * (
-        -zeta + 2.0 * zeta * math.log(zeta)
-    ) / (1.0 + alpha / (3.0 * math.pi))
-
-
 def _lambert_w_lower(x: float) -> float:
     # W_{-1}(x) for x in [-0.169, 0), where zeta_s <= 0.099: from the
     # asymptotic start l1 - l2 + l2/l1 of Corless et al., three Halley steps

@@ -492,6 +492,12 @@ _TOO_MANY = str(100_001)
     (("selfenergy", "zeta", "--Z", str(10 ** 200), "--n", "1"), None, 2),
     # m^2 underflows to 0: "p^2 must be positive" named no given input
     (("selfenergy", "onshell", "--m", "1e-300"), None, 2),
+    # below 1 microGeV the curve is one frozen sample, and --steps went
+    # unchecked: both exited 0
+    (("qed", "run", "--qmax", "1e-7", "--steps", "-5"), None, 2),
+    (("qed", "run", "--qmax", "1e-7", "--steps", "1000000"), None, 2),
+    # a repeated config key: the last value won, exit 0
+    (("constants", "show"), "alpha = 0.01\nalpha = 0.007\n", 2),
 ])
 def test_out_of_range_is_one_line_error(argv, config, code, tmp_path,
                                         capsys):

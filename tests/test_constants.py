@@ -47,6 +47,16 @@ def test_config_rejects_unknown_key(tmp_path):
         load_config(str(path))
 
 
+def test_config_rejects_duplicate_key(tmp_path):
+    # the last value won silently; the particle-table reader already
+    # refuses a repeated key
+    path = tmp_path / "c.txt"
+    path.write_text("alpha = 0.01\n# later\nalpha = 0.007\n")
+    with pytest.raises(ValidationError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"{path}:3: duplicate key 'alpha'"
+
+
 def test_config_rejects_bad_value(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("alpha = banana\n")

@@ -4,15 +4,21 @@
 output format, and ``tests/golden/help/`` the ``--help`` text of every
 command; ``tests/golden/generate.py`` wrote them and says when to run it
 again. The cases run in-process through ``cli.main``, so the whole file
-takes about a second.
+takes about two seconds. One more run of every case, under
+``sys.setprofile`` in a fresh interpreter, fails on any ``src`` function
+that no case enters and that ``UNREACHED`` does not name with a reason.
 """
 
 import argparse
+import ast
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import rrm_lab
 from rrm_lab import cli
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -84,3 +90,89 @@ def test_golden_help(path, monkeypatch, capsys):
     assert exc.value.code == 0
     assert capsys.readouterr().out.encode("utf-8") == \
         _help_file(path).read_bytes()
+
+
+# src functions that no golden case enters, each with why it stays
+UNREACHED = {
+    "potential.potential_derivative":
+        "perfbench/spans.py KERNELS names it; sector_report's test reference",
+    "potential._g_chain": "potential_derivative's M^2 chain",
+    "potential._derivative": "potential_derivative's body",
+    "qed.beta_total": "perfbench/spans.py COUNTED names it",
+    "self_energy.zeta_table":
+        "perfbench/libworker.py calls it; spans.py KERNELS names it",
+    "lamb._outside_float_range":
+        "float-range error; the golden cases fail no lamb kernel",
+    "potential._outside_float_range":
+        "float-range error; the golden cases overflow no potential",
+    "potential._vanishing_mass":
+        "error for phi where M^2 = 0; no golden case sits on that edge",
+    "constants.load_config": "--config; no golden case passes a file",
+    "constants.load_particle_table_file":
+        "--table; no golden case passes a file",
+    "__init__.__dir__": "dir(rrm_lab); the CLI never lists the package",
+}
+
+# runs every golden argv through cli.main in one fresh interpreter, so that
+# import-time calls are seen too, and prints the (file, first line) of each
+# code object entered
+_REACH = """
+import contextlib, io, json, sys
+entered = set()
+def note(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(note)
+from rrm_lab import cli
+for argv in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+sys.setprofile(None)
+json.dump(sorted(entered), sys.stdout)
+"""
+
+
+def _src_functions():
+    """{(file, first line): module.qualname} of every def under src."""
+    found = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([d.lineno for d in child.decorator_list]
+                            + [child.lineno])
+                found[(str(path), first)] = prefix + child.name
+                walk(child, path, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, path, f"{prefix}{child.name}.")
+            else:
+                walk(child, path, prefix)
+
+    src = pathlib.Path(rrm_lab.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path,
+             f"{path.stem}.")
+    return found
+
+
+def test_every_src_function_is_reached_by_a_golden_case():
+    # the library is what the CLI runs: a function that no case enters is
+    # dead, or is named in UNREACHED with its reason
+    proc = subprocess.run(
+        [sys.executable, "-c", _REACH], capture_output=True, text=True,
+        input=json.dumps([case["argv"] for case in INDEX.values()]))
+    assert proc.returncode == 0, proc.stderr
+    entered = {(str(pathlib.Path(path).resolve()), line)
+               for path, line in json.loads(proc.stdout)}
+    functions = _src_functions()
+    unreached = {name for key, name in functions.items()
+                 if key not in entered}
+    dead = sorted(unreached - set(UNREACHED))
+    assert not dead, f"no golden case enters {dead}"
+    # a name that is reached, or is gone, leaves the list
+    stale = sorted(set(UNREACHED) - unreached)
+    assert not stale, f"UNREACHED names {stale}, which are reached or gone"

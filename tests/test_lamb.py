@@ -8,7 +8,6 @@ from rrm_lab.constants import DEFAULT_CONSTANTS
 from rrm_lab.errors import NumericsError, ValidationError
 from rrm_lab.lamb import (
     AtomConfig,
-    bohr_binding,
     lamb_2s_2p,
     p4_level_shift,
     radiative_coefficients,
@@ -38,14 +37,6 @@ def test_reduced_masses_frozen():
 ])
 def test_reduced_mass_keeps_every_normal_result(m_e, m_n):
     assert reduced_mass(m_e, m_n) == m_e * m_n / (m_e + m_n)
-
-
-def test_bohr_binding():
-    e_1s = bohr_binding(1, 1, mu_hydrogen(), C)
-    assert e_1s * 1e6 == pytest.approx(13.598289067140, rel=1e-11)
-    # n^-2 scaling
-    assert bohr_binding(1, 2, mu_hydrogen(), C) == pytest.approx(
-        e_1s / 4.0, rel=1e-14, abs=0)
 
 
 def test_rde_transitions_frozen():

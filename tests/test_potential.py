@@ -9,7 +9,6 @@ from rrm_lab import potential, regulator, self_energy
 from rrm_lab.errors import NumericsError, ValidationError
 from rrm_lab.potential import (
     PotentialParams,
-    lambda_renormalized,
     mass_squared,
     one_loop_potential,
     phi_broken,
@@ -127,8 +126,10 @@ def test_symmetric_sector_origin_conditions():
 def test_lambda_renormalized_matches_fourth_derivative():
     p = PotentialParams(sigma=1.0, lam=0.5)
     c = ssb_scheme(p)
+    # criterion 8's closed form: lambda_R = lam (1 + 9 lam / 2 (4 pi)^2)
     d4 = potential_derivative(phi_broken(p), 4, p, c)
-    assert d4.real == pytest.approx(lambda_renormalized(p), rel=1e-13)
+    assert d4.real == pytest.approx(p.lam * (1.0 + 9.0 * KAPPA * p.lam),
+                                    rel=1e-13)
     assert d4.imag == 0.0
 
 

@@ -23,7 +23,6 @@ from rrm_lab.constants import (
 )
 from rrm_lab.lamb import (
     AtomConfig,
-    bohr_binding,
     lamb_2s_2p,
     p4_level_shift,
     radiative_coefficients,
@@ -39,12 +38,7 @@ from rrm_lab.potential import (
     symmetric_scheme,
 )
 from rrm_lab.qcd import alpha_s_lambda, alpha_s_mu, lambda_qcd, make_scheme
-from rrm_lab.qed import (
-    BetaModel,
-    beta_total,
-    evolve_alpha,
-    landau_solution,
-)
+from rrm_lab.qed import BetaModel, beta_total, evolve_alpha
 from rrm_lab.regulator import (
     RegulatedLogIntegral,
     log_derivative_closed_form,
@@ -54,11 +48,7 @@ from rrm_lab.regulator import (
     quartic_third_derivative_oracle,
 )
 from rrm_lab.errors import NumericsError, ValidationError
-from rrm_lab.self_energy import (
-    delta_mu_off_shell,
-    mass_increment,
-    zeta_row,
-)
+from rrm_lab.self_energy import mass_increment, zeta_row
 
 C = DEFAULT_CONSTANTS
 ALPHA0 = 1.0 / 137.03599
@@ -127,10 +117,14 @@ def test_zeta_root_residual_all_rows():
 
 
 def test_off_shell_limit_consistency():
+    # the leading off-shell shift at p^2 = mu^2 (1 - zeta), mu = 1:
+    # (alpha mu / 4 pi) (2 zeta ln zeta - zeta) / (1 + alpha / 3 pi)
     mu2_star = math.exp(-5.0 / 6.0)
     for zeta in (1e-3, 1e-4, 1e-5):
         full = mass_increment(1.0 - zeta, 1.0, mu2_star, C)
-        linear = delta_mu_off_shell(zeta, 1.0, C)
+        linear = ((C.alpha / (4.0 * math.pi))
+                  * (2.0 * zeta * math.log(zeta) - zeta)
+                  / (1.0 + C.alpha / (3.0 * math.pi)))
         assert abs(full - linear) <= 5.0 * zeta * abs(linear)
 
 
@@ -216,10 +210,14 @@ def test_massive_running_matches_quadrature_of_beta():
 
 
 def test_ode_bounded_by_landau():
+    # the massless one-loop running alpha0 / (1 - (2 alpha0/3 pi) ln(q/m))
+    # bounds the massive one from above
     curve = evolve_alpha(10.0, ELECTRON_ONLY, steps=40, constants=C)
     for q, a in curve.samples:
         if q >= 10.0 * M_E_GEV:
-            assert a <= landau_solution(q, M_E_GEV, ALPHA0) * (1.0 + 1e-6)
+            landau = ALPHA0 / (1.0 - (2.0 * ALPHA0 / (3.0 * math.pi))
+                               * math.log(q / M_E_GEV))
+            assert a <= landau * (1.0 + 1e-6)
 
 
 # ---------------------------------------------------------------------- qcd
@@ -365,7 +363,7 @@ def test_rde_reduces_to_bohr():
     for n, l, j in ((1, 0, 0.5), (2, 0, 0.5), (2, 1, 0.5)):
         cfg = AtomConfig(z=1, nuclear_mass=C.proton_mass, n=n, l=l, j=j)
         e = rde_level(cfg, C)
-        bohr = bohr_binding(1, n, mu, C)
+        bohr = C.alpha ** 2 * mu / (2.0 * n * n)   # Z^2 alpha^2 mu / 2 n^2
         measured = (-e - bohr) / (bohr * z_alpha_sq)
         predicted = (n / (j + 0.5) - 0.75) / n ** 2
         assert 0.3 * predicted <= measured <= 1.5 * predicted
@@ -436,8 +434,6 @@ _CFG_2S = AtomConfig(z=1, nuclear_mass=C.proton_mass, n=2, l=0, j=0.5)
 # each call takes the non-finite value in one argument; nan passed every
 # `x <= 0` guard, and inf most of them
 NON_FINITE_CALLS = {
-    "qed.landau_solution": lambda v: qed.landau_solution(v, 1.0, ALPHA0),
-    "qed.landau_solution m": lambda v: qed.landau_solution(10.0, v, ALPHA0),
     "qed.loop_integral": qed.loop_integral,
     "qed.beta_total alpha": lambda v: qed.beta_total(v, 1.0, ELECTRON_ONLY),
     "qed.beta_total q": lambda v: qed.beta_total(ALPHA0, v, ELECTRON_ONLY),
@@ -452,8 +448,6 @@ NON_FINITE_CALLS = {
     "qcd.hadronization_threshold alpha":
         lambda v: qcd.hadronization_threshold(0.2, v),
     "lamb.reduced_mass": lambda v: lamb.reduced_mass(v, 1.0),
-    "lamb.bohr_binding": lambda v: lamb.bohr_binding(1, 1, v),
-    "lamb.bohr_binding z": lambda v: lamb.bohr_binding(v, 1, 1.0),
     "lamb.AtomConfig": lambda v: lamb.AtomConfig(1, v, 1, 0, 0.5),
     "lamb.AtomConfig j": lambda v: lamb.AtomConfig(1, 1.0, 1, 0, v),
     "lamb.uehling_2s_shift": lamb.uehling_2s_shift,
@@ -494,8 +488,6 @@ NON_FINITE_CALLS = {
     "self_energy.mass_increment":
         lambda v: self_energy.mass_increment(1.0, 1.0, v),
     "self_energy.fix_on_shell": self_energy.fix_on_shell,
-    "self_energy.delta_mu_off_shell":
-        lambda v: self_energy.delta_mu_off_shell(0.01, v),
     "self_energy.zeta_row": self_energy.zeta_row,
     "potential.PotentialParams": lambda v: potential.PotentialParams(v, 0.5),
     "potential.PotentialParams lam":

@@ -14,12 +14,10 @@ from rrm_lab.constants import (
 from rrm_lab.errors import NumericsError, ValidationError
 from rrm_lab.qed import (
     BetaModel,
-    CouplingCurve,
     _loop_shape,
     beta_total,
     evolve_alpha,
     fit_light_quarks,
-    landau_solution,
     loop_integral,
 )
 
@@ -117,28 +115,6 @@ def test_curve_samples_are_the_exact_running():
     assert ALPHA0 < a_mid < curve.samples[-1][1]
 
 
-def test_curve_requires_increasing_q():
-    with pytest.raises(ValidationError):
-        CouplingCurve(samples=((1.0, 0.007), (1.0, 0.008)))
-
-
-def test_landau_solution_frozen():
-    a = landau_solution(10.0, M_E, ALPHA0)
-    assert a == pytest.approx(7.410754753903e-3, rel=1e-10)
-
-
-def test_landau_pole_reported():
-    with pytest.raises(NumericsError):
-        landau_solution(1e281, M_E, ALPHA0)
-
-
-def test_landau_solution_extreme_scale_ratio():
-    # q/m underflowed to 0 and math.log raised ValueError; the reference is
-    # the same form at 40 digits in mpmath
-    assert landau_solution(1e-308, 1e308, ALPHA0) == pytest.approx(
-        2.2829579895307753e-3, rel=1e-14)
-
-
 def test_fit_light_quarks_frozen():
     fit = fit_light_quarks(default_model(), 128.89, C)
     assert fit.scale_factor == pytest.approx(5.514985945244, rel=1e-4)
@@ -155,6 +131,20 @@ def test_fit_unreachable_target():
 def test_evolve_rejects_bad_qmax():
     with pytest.raises(ValidationError):
         evolve_alpha(-1.0, default_model(), constants=C)
+
+
+@pytest.mark.parametrize("steps", [-5, 0, 1, 100_001, 1_000_000])
+def test_frozen_curve_checks_steps(steps):
+    # at or below Q_START_GEV the curve is one frozen sample; the step count
+    # went unchecked there and any value returned it
+    with pytest.raises(ValidationError, match=r"steps must lie in \[2, "):
+        evolve_alpha(1e-7, default_model(), steps=steps, constants=C)
+
+
+@pytest.mark.parametrize("steps", [None, 2, 100_000])
+def test_frozen_curve_is_one_sample(steps):
+    curve = evolve_alpha(1e-7, default_model(), steps=steps, constants=C)
+    assert curve.samples == ((1e-7, C.alpha),)
 
 
 def _loop_integral_mp(x):

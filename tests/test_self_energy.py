@@ -7,7 +7,6 @@ import pytest
 from rrm_lab.constants import DEFAULT_CONSTANTS
 from rrm_lab.errors import NumericsError, ValidationError
 from rrm_lab.self_energy import (
-    delta_mu_off_shell,
     fix_on_shell,
     mass_increment,
     sigma_coefficients,
@@ -75,20 +74,6 @@ def test_off_shell_increment_is_finite_and_negative():
     d = mass_increment(0.99, 1.0, math.exp(-5.0 / 6.0), C)
     assert d < 0.0
     assert abs(d) < 1e-3
-
-
-def test_delta_mu_off_shell_frozen():
-    assert delta_mu_off_shell(1e-4, 1.0, C) == pytest.approx(
-        -1.1268959312e-6, rel=1e-10)
-
-
-def test_delta_mu_domain():
-    with pytest.raises(ValidationError):
-        delta_mu_off_shell(0.0, 1.0, C)
-    with pytest.raises(ValidationError):
-        delta_mu_off_shell(0.1, 1.0, C)
-    with pytest.raises(ValidationError):
-        delta_mu_off_shell(0.01, -1.0, C)
 
 
 @pytest.mark.parametrize("ratio", sorted(ZETA_FROZEN))
