@@ -155,6 +155,7 @@ def evolve_alpha_s_massive(model: MassiveQcdModel, q_min: float,
     m_z = constants.m_z_strong
     if q_min >= m_z:
         raise ValidationError("q_min must lie below the Z mass anchor")
+    grid = _log_grid(q_min, m_z, steps)    # a bad count is input, not numerics
     anchor = model.alpha_s_mz
     # every quark loop with weight 1, its H fixed at the anchor
     quarks = [(1.0, sp.mass, loop_integral(m_z / sp.mass))
@@ -179,7 +180,6 @@ def evolve_alpha_s_massive(model: MassiveQcdModel, q_min: float,
             f"coupling exceeded 4 pi before reaching q_min; last valid "
             f"Q = {last_q:.12g} GeV"
         )
-    grid = _log_grid(q_min, m_z, steps)
     samples = tuple((q, anchor / denominator(q)) for q in grid)
     return MassiveEvolution(curve=CouplingCurve(samples), lambda_peak=None,
                             alpha_max=None)

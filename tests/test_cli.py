@@ -496,6 +496,9 @@ _TOO_MANY = str(100_001)
     # unchecked: both exited 0
     (("qed", "run", "--qmax", "1e-7", "--steps", "-5"), None, 2),
     (("qed", "run", "--qmax", "1e-7", "--steps", "1000000"), None, 2),
+    # a q_min past the 4 pi guard hid a bad count behind exit 3
+    (("qcd", "run", "--flavor", "u", "--qmin", "0.01", "--steps", "-5"),
+     None, 2),
     # a repeated config key: the last value won, exit 0
     (("constants", "show"), "alpha = 0.01\nalpha = 0.007\n", 2),
 ])
